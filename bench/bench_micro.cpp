@@ -140,13 +140,20 @@ BENCHMARK(BM_PairingScheduler)->Arg(10)->Arg(50)->Arg(100)->Arg(200);
 
 void BM_AllReduceExec(benchmark::State& state) {
   const auto agents = state.range(0);
+  const int64_t elems = 64 * 64;
   Rng rng(5);
-  std::vector<std::vector<Tensor>> base;
-  for (int64_t a = 0; a < agents; ++a)
-    base.push_back({rng.normal_tensor({64, 64}, 0, 1)});
+  std::vector<double> base(static_cast<size_t>(agents * elems));
+  for (double& v : base) v = rng.normal(0, 1);
   for (auto _ : state) {
-    auto states = base;
-    benchmark::DoNotOptimize(comm::allreduce_average(states));
+    auto slab = base;
+    comm::InProcTransport transport(comm::LinkGrid::uniform(agents, 100.0));
+    comm::CollectiveRequest req;
+    req.elems = elems;
+    for (int64_t a = 0; a < agents; ++a)
+      req.buffers.push_back(slab.data() + a * elems);
+    benchmark::DoNotOptimize(
+        comm::collective(comm::Protocol::kHalvingDoublingAllReduce)
+            .run(transport, req));
   }
 }
 BENCHMARK(BM_AllReduceExec)->Arg(4)->Arg(16)->Arg(64);

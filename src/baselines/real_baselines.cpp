@@ -38,8 +38,8 @@ RealBaselineFleet::RealBaselineFleet(learncurve::Method method,
   for (size_t i = 1; i < models_.size(); ++i)
     nn::load_state(*models_[i], init);
 
-  if (method_ == learncurve::Method::kAllReduceDML &&
-      options_.comms.bucket_bytes > 0) {
+  if (method_ == learncurve::Method::kAllReduceDML) {
+    // bucket_bytes = 0 gives one bucket spanning the whole state.
     bucket_plan_ =
         nn::BucketPlan::build(*models_[0], options_.comms.bucket_bytes);
     pipeline_ = std::make_unique<core::RoundPipeline>(
@@ -96,6 +96,20 @@ float RealBaselineFleet::train_locally(
 }
 
 void RealBaselineFleet::aggregate(RoundStats& stats) {
+  if (method_ == learncurve::Method::kAllReduceDML) {
+    // Every agent published its buckets as its local training ended;
+    // overlapped rounds already reduced them inside the training fan-out.
+    if (!options_.comms.overlap) pipeline_->drain();
+    for (size_t i = 0; i < models_.size(); ++i) {
+      std::vector<tensor::Tensor*> ptrs;
+      models_[i]->collect_state(ptrs);
+      pipeline_->restore_state(static_cast<int64_t>(i), ptrs);
+    }
+    const core::PipelineStats ps = pipeline_->stats();
+    stats.aggregation_seconds = ps.comm_seconds;
+    stats.aggregation_bytes = ps.max_bytes_sent;
+    return;
+  }
   std::vector<std::vector<tensor::Tensor>>& states = state_scratch_;
   states.resize(models_.size());
   for (size_t i = 0; i < models_.size(); ++i)
@@ -159,17 +173,6 @@ void RealBaselineFleet::aggregate(RoundStats& stats) {
       for (auto& m : models_) nn::load_state(*m, avg);
       break;
     }
-    case learncurve::Method::kAllReduceDML: {
-      COMDML_CHECK(pipeline_ == nullptr);  // bucketed rounds skip aggregate()
-      const auto outcome = comm::allreduce_average_over(
-          states,
-          core::bottleneck_grid(topology_, options_.comms.latency_sec),
-          options_.comms.aggregation);
-      for (size_t i = 0; i < k; ++i) nn::load_state(*models_[i], states[i]);
-      stats.aggregation_seconds = outcome.cost.seconds;
-      stats.aggregation_bytes = outcome.cost.bytes_per_agent;
-      break;
-    }
     case learncurve::Method::kGossip: {
       const int64_t bytes =
           static_cast<int64_t>(nn::state_bytes(*models_[0]));
@@ -181,6 +184,7 @@ void RealBaselineFleet::aggregate(RoundStats& stats) {
       stats.aggregation_bytes = bytes;
       break;
     }
+    case learncurve::Method::kAllReduceDML:  // reduced above
     case learncurve::Method::kComDML:
       COMDML_CHECK(false);
   }
@@ -197,26 +201,25 @@ RealBaselineFleet::RoundStats RealBaselineFleet::step() {
   // pool. Per-agent losses land in fixed slots and are reduced in agent
   // order, keeping the round identical for every thread count.
   //
-  // Bucketed AllReduce-DML: each agent publishes its buckets as its local
-  // training ends; RoundPipeline::run_round adds (overlap) one collector
-  // slot per pool thread so idle workers reduce ready buckets while slower
-  // agents still train, and aborts the pipeline on task exceptions.
-  const bool bucketed = pipeline_ != nullptr;
-  const bool overlap = bucketed && options_.comms.overlap;
-  if (bucketed) pipeline_->begin_round();
+  // AllReduce-DML: each agent publishes its buckets as its local training
+  // ends; RoundPipeline::run_round adds (overlap) one collector slot per
+  // pool thread so idle workers reduce ready buckets while slower agents
+  // still train, and aborts the pipeline on task exceptions.
+  const bool allreduce = method_ == learncurve::Method::kAllReduceDML;
   const int64_t n_agents = static_cast<int64_t>(models_.size());
   std::vector<float> losses(models_.size(), 0.0f);
   const auto train_task = [&](int64_t i) {
     losses[static_cast<size_t>(i)] =
         train_locally(static_cast<size_t>(i), global ? &*global : nullptr);
-    if (bucketed) {
+    if (allreduce) {
       std::vector<tensor::Tensor*> ptrs;
       models_[static_cast<size_t>(i)]->collect_state(ptrs);
       pipeline_->publish_state(i, ptrs);
     }
   };
-  if (bucketed) {
-    pipeline_->run_round(n_agents, train_task, overlap);
+  if (allreduce) {
+    pipeline_->begin_round();
+    pipeline_->run_round(n_agents, train_task, options_.comms.overlap);
   } else {
     core::parallel_for(0, n_agents, 1, [&](int64_t lo, int64_t hi) {
       for (int64_t i = lo; i < hi; ++i) train_task(i);
@@ -225,19 +228,6 @@ RealBaselineFleet::RoundStats RealBaselineFleet::step() {
   float loss = 0.0f;
   for (const float l : losses) loss += l;
   stats.mean_loss = loss / static_cast<float>(models_.size());
-
-  if (bucketed) {
-    if (!overlap) pipeline_->drain();
-    for (size_t i = 0; i < models_.size(); ++i) {
-      std::vector<tensor::Tensor*> ptrs;
-      models_[i]->collect_state(ptrs);
-      pipeline_->restore_state(static_cast<int64_t>(i), ptrs);
-    }
-    const core::PipelineStats ps = pipeline_->stats();
-    stats.aggregation_seconds = ps.comm_seconds;
-    stats.aggregation_bytes = ps.max_bytes_sent;
-    return stats;
-  }
   aggregate(stats);
   return stats;
 }

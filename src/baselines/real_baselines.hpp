@@ -55,7 +55,7 @@ class RealBaselineFleet {
   std::vector<std::unique_ptr<data::Batcher>> batchers_;
   /// Per-round aggregation merge buffers, reused across rounds.
   std::vector<std::vector<tensor::Tensor>> state_scratch_;
-  /// Bucketed AllReduce-DML aggregation (comms.bucket_bytes > 0): agents
+  /// AllReduce-DML aggregation (bucket_bytes = 0: one bucket): agents
   /// publish their buckets as their local training finishes, and idle pool
   /// workers reduce ready buckets concurrently (comms.overlap).
   std::optional<nn::BucketPlan> bucket_plan_;

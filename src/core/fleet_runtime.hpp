@@ -54,10 +54,10 @@ struct RoundReport {
   double idle_seconds = 0.0;
   double unbalanced_seconds = 0.0;   ///< counterfactual without offloading
   int64_t aggregation_bytes = 0;     ///< executed collective traffic (real)
-  /// Bucketed aggregation (comms.bucket_bytes > 0): bucket count and the
-  /// aggregation time left on the round's critical path after overlapping
-  /// collectives with the compute tail (== aggregation_seconds when
-  /// nothing is hidden).
+  /// Real ComDML fleets: bucket count (>= 1; comms.bucket_bytes = 0 gives
+  /// one) and the aggregation time left on the round's critical path after
+  /// overlapping collectives with the compute tail (== aggregation_seconds
+  /// when nothing is hidden).
   int64_t buckets = 0;
   double exposed_comm_seconds = 0.0;
   /// Buckets split-trained slow replicas published layer-by-layer while

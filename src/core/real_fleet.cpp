@@ -5,9 +5,7 @@
 #include <filesystem>
 #include <fstream>
 
-#include "comm/allreduce.hpp"
 #include "comm/compress.hpp"
-#include "core/parallel.hpp"
 #include "nn/arch_specs.hpp"
 #include "privacy/dcor.hpp"
 #include "privacy/dp.hpp"
@@ -57,40 +55,39 @@ RealFleet::RealFleet(const ModelFactory& factory, int64_t classes,
     plateau_.emplace(options_.train.plateau_factor, options_.train.plateau_patience);
   }
 
-  if (options_.comms.bucket_bytes > 0) {
-    // Bucketed aggregation: one plan and one pipeline for the fleet's
-    // lifetime (all replicas are structurally identical).
-    bucket_plan_ =
-        nn::BucketPlan::build(*agents_[0].model, options_.comms.bucket_bytes);
-    // Unreliable-network injection on the bucket transports: every bucket
-    // collective then retransmits through comm::ReliableChannel and the
-    // retransmission traffic is reported per round.
-    comm::FaultPlan faults;
-    faults.drop_prob = options_.faults.message_drop_prob;
-    faults.seed = options_.seed;
-    pipeline_ = std::make_unique<RoundPipeline>(
-        static_cast<int64_t>(agents_.size()), *bucket_plan_,
-        bottleneck_grid(topology_, options_.comms.latency_sec),
-        options_.comms.aggregation, options_.comms.bucket_codec(),
-        options_.comms.error_feedback, faults,
-        /*straggler_support=*/options_.faults.deadline_sec > 0.0);
-    // Modeled backward-tail fraction per bucket: the share of one batch's
-    // work still ahead of the final backward sweep when the bucket's
-    // lowest unit has finished — this is the compute window the bucket's
-    // collective can hide inside.
-    const auto costs = agents_[0].model->unit_costs(in_shape_);
-    double total = 0.0;
-    for (const auto& c : costs) total += c.flops_forward + c.flops_backward;
-    std::vector<double> below(costs.size() + 1, 0.0);
-    for (size_t u = 0; u < costs.size(); ++u)
-      below[u + 1] = below[u] + costs[u].flops_backward;
-    bucket_back_frac_.resize(static_cast<size_t>(bucket_plan_->buckets()));
-    for (int64_t b = 0; b < bucket_plan_->buckets(); ++b)
-      bucket_back_frac_[static_cast<size_t>(b)] =
-          total > 0.0
-              ? below[bucket_plan_->bucket(b).first_unit] / total
-              : 0.0;
-  }
+  // One plan and one pipeline for the fleet's lifetime (all replicas are
+  // structurally identical); bucket_bytes = 0 gives one bucket spanning
+  // the whole state.
+  bucket_plan_ =
+      nn::BucketPlan::build(*agents_[0].model, options_.comms.bucket_bytes);
+  // Unreliable-network injection on the bucket transports: every bucket
+  // collective then retransmits through comm::ReliableChannel and the
+  // retransmission traffic is reported per round.
+  comm::FaultPlan faults;
+  faults.drop_prob = options_.faults.message_drop_prob;
+  faults.seed = options_.seed;
+  pipeline_ = std::make_unique<RoundPipeline>(
+      static_cast<int64_t>(agents_.size()), *bucket_plan_,
+      bottleneck_grid(topology_, options_.comms.latency_sec),
+      options_.comms.aggregation, options_.comms.bucket_codec(),
+      options_.comms.error_feedback, faults,
+      /*straggler_support=*/options_.faults.deadline_sec > 0.0);
+  // Modeled backward-tail fraction per bucket: the share of one batch's
+  // work still ahead of the final backward sweep when the bucket's
+  // lowest unit has finished — this is the compute window the bucket's
+  // collective can hide inside.
+  const auto costs = agents_[0].model->unit_costs(in_shape_);
+  double total = 0.0;
+  for (const auto& c : costs) total += c.flops_forward + c.flops_backward;
+  std::vector<double> below(costs.size() + 1, 0.0);
+  for (size_t u = 0; u < costs.size(); ++u)
+    below[u + 1] = below[u] + costs[u].flops_backward;
+  bucket_back_frac_.resize(static_cast<size_t>(bucket_plan_->buckets()));
+  for (int64_t b = 0; b < bucket_plan_->buckets(); ++b)
+    bucket_back_frac_[static_cast<size_t>(b)] =
+        total > 0.0
+            ? below[bucket_plan_->bucket(b).first_unit] / total
+            : 0.0;
 }
 
 std::vector<AgentInfo> RealFleet::build_infos() const {
@@ -118,44 +115,78 @@ data::Batch RealFleet::next_batch(int64_t agent, tensor::Rng& rng) {
   return batch;
 }
 
-RealFleet::RoundStats RealFleet::step() {
-  const int64_t live_before =
-      static_cast<int64_t>(live_agents().size());
-
-  // Arm the injected faults scheduled for this round. Leave-mode entries
-  // take their agent out before pairing; the per-point modes are resolved
-  // by the training tasks / publish path / transports below.
-  std::vector<int64_t> die_after_batches(agents_.size(), -1);
-  std::vector<int64_t> publish_budget(agents_.size(), -1);
+/// One round's working state, threaded through the phases of step().
+struct RealFleet::Round {
+  int64_t live_before = 0;
+  /// Armed death points per agent (-1 = none): batches trained, or buckets
+  /// published, before the agent dies.
+  std::vector<int64_t> die_after_batches;
+  std::vector<int64_t> publish_budget;
   std::vector<int64_t> collective_victims;
+  nn::SGD::Options sgd;
+  std::vector<AgentInfo> infos;
+  PairingResult plan;
+  std::vector<char> late;  ///< per agent: deferred past the deadline
+  /// DP noise draws from the fleet Rng in agent order after training, and
+  /// a multi-process round reduces after the cross-worker exchange: either
+  /// way every bucket publishes after training instead of from inside the
+  /// tasks, and the layerwise overlap window closes.
+  bool dp = false;
+  bool publish_in_task = false;
+  bool overlap = false;
+  std::vector<tensor::Rng> task_rngs;
+  std::vector<TaskResult> results;
+  /// Task -> primary agent id: the solo agent, or a pair's slow agent. The
+  /// owner of the primary runs the task.
+  std::vector<int64_t> task_agent;
+  RoundStats stats;
+};
+
+RealFleet::RoundStats RealFleet::step() {
+  Round r;
+  arm_faults(r);
+  pair_up(r);
+  train(r);
+  exchange(r);
+  aggregate(r);
+  return finalize(r);
+}
+
+void RealFleet::arm_faults(Round& r) {
+  // Leave-mode entries take their agent out before pairing; the per-point
+  // modes are resolved by the training tasks, the publish path and the
+  // bucket transports.
+  r.live_before = static_cast<int64_t>(live_agents().size());
+  r.die_after_batches.assign(agents_.size(), -1);
+  r.publish_budget.assign(agents_.size(), -1);
   for (const FleetOptions::FaultOptions::AgentFailure& f :
        options_.faults.failures) {
     if (f.round != round_) continue;
     COMDML_CHECK(f.agent >= 0 && f.agent < agents());
-    if (!agents_[static_cast<size_t>(f.agent)].alive) continue;
+    const auto a = static_cast<size_t>(f.agent);
+    if (!agents_[a].alive) continue;
     if (f.after_batches >= 0) {
-      die_after_batches[static_cast<size_t>(f.agent)] = f.after_batches;
+      r.die_after_batches[a] = f.after_batches;
     } else if (f.after_buckets >= 0) {
-      publish_budget[static_cast<size_t>(f.agent)] = f.after_buckets;
+      r.publish_budget[a] = f.after_buckets;
     } else if (f.at_collective_step >= 0) {
-      COMDML_CHECK(pipeline_ != nullptr);  // enforced by validate()
       pipeline_->schedule_endpoint_failure(f.agent, f.at_collective_step);
-      collective_victims.push_back(f.agent);
+      r.collective_victims.push_back(f.agent);
     } else {
       leave(f.agent);
     }
   }
+}
 
-  nn::SGD::Options sgd = options_.train.sgd;
-  sgd.lr = current_lr_;
-  const auto infos = build_infos();
+void RealFleet::pair_up(Round& r) {
+  r.sgd = options_.train.sgd;
+  r.sgd.lr = current_lr_;
+  r.infos = build_infos();
   const std::vector<int64_t> participants = live_agents();
   COMDML_REQUIRE(!participants.empty(), "no live agents left to run a round");
-  const PairingResult plan = pair_agents(profile_, infos, topology_,
-                                         options_.train.batch_size, participants);
-
-  RoundStats stats;
-  stats.num_pairs = static_cast<int64_t>(plan.pairs.size());
+  r.plan = pair_agents(profile_, r.infos, topology_, options_.train.batch_size,
+                       participants);
+  r.stats.num_pairs = static_cast<int64_t>(r.plan.pairs.size());
 
   // Straggler deadline: a *solo* agent whose balanced round would outlast
   // the deadline is deferred — it still trains, but the on-time set
@@ -165,227 +196,193 @@ RealFleet::RoundStats RealFleet::step() {
   // pass has already pulled every rescuable straggler into a pair. If
   // every live agent would be late there is no on-time set to defer to,
   // so nobody is deferred.
-  std::vector<char> late(agents_.size(), 0);
-  int64_t n_late = 0;
-  if (options_.faults.deadline_sec > 0.0) {
-    std::vector<int64_t> late_ids;
-    for (const int64_t id : plan.solo)
-      if (agents_[static_cast<size_t>(id)].alive &&
-          infos[static_cast<size_t>(id)].tau_solo >
-              options_.faults.deadline_sec)
-        late_ids.push_back(id);
-    if (late_ids.size() < participants.size()) {
-      for (const int64_t id : late_ids) late[static_cast<size_t>(id)] = 1;
-      n_late = static_cast<int64_t>(late_ids.size());
-    }
-  }
-  stats.late_agents = n_late;
+  r.late.assign(agents_.size(), 0);
+  if (options_.faults.deadline_sec <= 0.0) return;
+  std::vector<int64_t> late_ids;
+  for (const int64_t id : r.plan.solo)
+    if (agents_[static_cast<size_t>(id)].alive &&
+        r.infos[static_cast<size_t>(id)].tau_solo > options_.faults.deadline_sec)
+      late_ids.push_back(id);
+  if (late_ids.size() >= participants.size()) return;
+  for (const int64_t id : late_ids) r.late[static_cast<size_t>(id)] = 1;
+  r.stats.late_agents = static_cast<int64_t>(late_ids.size());
+}
 
-  // Local-training phase. Pairing is a matching, so pair tasks touch
-  // disjoint agent replicas/batchers and solo tasks the rest: every task is
-  // independent between the pairing and aggregation barriers. Each task
-  // gets an Rng forked in fixed task order before the fan-out, and results
-  // land in a pre-sized slot vector reduced serially afterwards, so the
-  // round is bit-identical for every COMDML_NUM_THREADS value. (TaskResult
-  // is the public nested type so multi-process fleets can exchange slots.)
-  const size_t n_pairs = plan.pairs.size();
-  const size_t n_tasks = n_pairs + plan.solo.size();
-  std::vector<tensor::Rng> task_rngs;
-  task_rngs.reserve(n_tasks);
-  for (size_t t = 0; t < n_tasks; ++t) task_rngs.push_back(rng_.fork());
-  std::vector<TaskResult> results(n_tasks);
+void RealFleet::train(Round& r) {
+  r.dp = options_.privacy.technique ==
+         learncurve::PrivacyTechnique::kDifferentialPrivacy;
+  r.publish_in_task = !r.dp && !dist_;
+  r.overlap = r.publish_in_task && options_.comms.overlap;
+  pipeline_->begin_round();
+  // Deferred stragglers are excluded up front so no bucket waits for their
+  // contribution.
+  for (int64_t a = 0; a < agents(); ++a)
+    if (r.late[static_cast<size_t>(a)] != 0) pipeline_->defer(a);
 
-  // Task -> primary agent id: the solo agent, or a pair's slow agent. A
-  // multi-process round runs each task on the primary's owning shard (a
-  // pair task trains both replicas there — the borrowed fast replica ships
-  // home through the exchange) and keys owned results by this map.
-  std::vector<int64_t> task_agent;
-  if (dist_) {
-    task_agent.assign(n_tasks, -1);
-    for (size_t t = 0; t < n_pairs; ++t)
-      task_agent[t] = plan.pairs[t].slow_agent;
-    for (size_t t = n_pairs; t < n_tasks; ++t)
-      task_agent[t] = plan.solo[t - n_pairs];
-  }
+  // Pairing is a matching, so pair tasks touch disjoint agent
+  // replicas/batchers and solo tasks the rest: every task is independent
+  // between the pairing and aggregation barriers. Each task gets an Rng
+  // forked in fixed task order before the fan-out, and results land in a
+  // pre-sized slot vector reduced serially afterwards, so the round is
+  // bit-identical for every COMDML_NUM_THREADS value. The pipeline's fan-out
+  // adds collector slots in overlapped mode and aborts on exceptions.
+  const size_t n_pairs = r.plan.pairs.size();
+  const size_t n_tasks = n_pairs + r.plan.solo.size();
+  for (size_t t = 0; t < n_tasks; ++t) r.task_rngs.push_back(rng_.fork());
+  r.results.resize(n_tasks);
+  r.task_agent.resize(n_tasks);
+  for (size_t t = 0; t < n_pairs; ++t)
+    r.task_agent[t] = r.plan.pairs[t].slow_agent;
+  for (size_t t = n_pairs; t < n_tasks; ++t)
+    r.task_agent[t] = r.plan.solo[t - n_pairs];
+  pipeline_->run_round(
+      static_cast<int64_t>(n_tasks), [&](int64_t t) { run_task(r, t); },
+      r.overlap);
+}
 
-  // Bucketed aggregation modes. DP noise draws from the fleet Rng in agent
-  // order after training (historical semantics), so with DP the buckets are
-  // published after the noising pass instead of from inside the tasks, and
-  // the layerwise overlap window closes.
-  const bool bucketed = pipeline_ != nullptr;
-  const bool dp = options_.privacy.technique ==
-                  learncurve::PrivacyTechnique::kDifferentialPrivacy;
-  const bool publish_in_task = bucketed && !dp;
-  const bool overlap = publish_in_task && options_.comms.overlap;
-  if (bucketed) {
-    pipeline_->begin_round();
-    // Deferred stragglers are excluded up front so no bucket waits for
-    // their contribution.
-    for (int64_t a = 0; a < agents(); ++a)
-      if (late[static_cast<size_t>(a)] != 0) pipeline_->defer(a);
-  }
-
-  // Flatten + contribute one bucket of `agent`'s live state — the publish
-  // step shared by the full-model and split last-batch unit walks. An
-  // armed publish budget kills the agent mid-stream: after `after_buckets`
-  // publishes the next attempt never lands, and the pipeline re-targets
-  // the dead agent's remaining buckets. All of one agent's publishes run
-  // on its own training task, so the budget needs no synchronization.
-  const auto publish_bucket = [&](int64_t agent,
-                                  const std::vector<tensor::Tensor*>& ptrs,
-                                  int64_t bk) {
-    if (!agents_[static_cast<size_t>(agent)].alive) return;
-    int64_t& budget = publish_budget[static_cast<size_t>(agent)];
-    if (budget == 0) {
-      kill_agent(agent);
-      budget = -1;
-      return;
-    }
-    bucket_plan_->flatten_bucket(ptrs, bk, pipeline_->slot(agent, bk));
-    pipeline_->contribute(agent, bk);
-    if (budget > 0 && --budget == 0) {
-      kill_agent(agent);
-      budget = -1;
-    }
-  };
-
-  // Full-model local training for one agent. When publishing from inside
-  // the task, the round's last batch steps each unit as its backward
-  // completes, so output-side buckets enter the pipeline while input-side
-  // backward compute is still running (bit-identical math either way).
-  const auto train_full = [&](int64_t agent, tensor::Rng& rng,
-                              TaskResult& out) {
-    auto& st = agents_[static_cast<size_t>(agent)];
-    nn::SGD opt(st.model->parameters(), sgd);
-    // Momentum is fleet state, not round state: carry the velocity across
-    // the per-round optimizer rebuilds (and through checkpoint/restore).
-    if (!st.velocity.empty()) opt.load_velocity(st.velocity);
-    const int64_t die_at = die_after_batches[static_cast<size_t>(agent)];
-    const int64_t batches =
-        die_at >= 0 ? std::min(options_.train.batches_per_round, die_at)
-                    : options_.train.batches_per_round;
-    for (int64_t b = 0; b < batches; ++b) {
-      const auto batch = next_batch(agent, rng);
-      if (publish_in_task && b == batches - 1 && die_at < 0 &&
-          late[static_cast<size_t>(agent)] == 0) {
-        std::vector<tensor::Tensor*> ptrs;
-        st.model->collect_state(ptrs);
-        nn::BucketReadyTracker tracker(*bucket_plan_);
-        const auto res = nn::train_batch_full_notify(
-            *st.model, opt, batch.x, batch.y,
-            bucket_plan_->unit_param_counts(), [&](size_t u) {
-              tracker.unit_done(
-                  u, [&](int64_t bk) { publish_bucket(agent, ptrs, bk); });
-            });
-        out.loss_sum += res.loss;
-        ++out.loss_count;
-      } else {
-        const auto res =
-            nn::train_batch_full(*st.model, opt, batch.x, batch.y);
-        out.loss_sum += res.loss;
-        ++out.loss_count;
-      }
-    }
-    st.velocity = opt.velocity();
-    // Died after its batch quota: nothing published this round.
-    if (die_at >= 0) kill_agent(agent);
-  };
-
-  const auto run_task = [&](int64_t t) {
-    tensor::Rng& rng = task_rngs[static_cast<size_t>(t)];
-    TaskResult& out = results[static_cast<size_t>(t)];
-    if (t < static_cast<int64_t>(n_pairs)) {
-      // Paired agents: local-loss split training of the *slow* agent's
-      // replica (fast side physically runs on the fast agent; state-wise
-      // it is the slow replica's suffix), while the fast agent also
-      // trains its own replica.
-      const auto& pair = plan.pairs[static_cast<size_t>(t)];
-      // Multi-process: the slow agent's owner runs the whole pair task,
-      // fast replica included (the task's rng was forked in fixed order,
-      // so skipping elsewhere preserves every other draw).
-      if (dist_ &&
-          dist_->owner[static_cast<size_t>(pair.slow_agent)] != dist_->shard)
-        return;
-      auto& slow = agents_[static_cast<size_t>(pair.slow_agent)];
-      const int64_t batches = options_.train.batches_per_round;
-      const int64_t slow_die =
-          die_after_batches[static_cast<size_t>(pair.slow_agent)];
-      const int64_t slow_batches =
-          slow_die >= 0 ? std::min(batches, slow_die) : batches;
-      nn::LocalLossSplitTrainer split(*slow.model, pair.cut, in_shape_,
-                                      classes_, rng, sgd);
-      for (int64_t b = 0; b < slow_batches; ++b) {
-        const auto batch = next_batch(pair.slow_agent, rng);
-        nn::LocalLossSplitTrainer::StepStats step;
-        if (publish_in_task && b == batches - 1 && slow_die < 0) {
-          // Final batch: per-unit finalization publishes the slow
-          // replica's buckets layer-by-layer during the split backward —
-          // prefix-side buckets enter the pipeline before the fast-side
-          // backward even starts, and every bucket ships before the fast
-          // agent's own full-model training below (bit-identical math
-          // either way).
-          std::vector<tensor::Tensor*> ptrs;
-          slow.model->collect_state(ptrs);
-          nn::BucketReadyTracker tracker(*bucket_plan_);
-          const size_t total_units = slow.model->size();
-          size_t units_done = 0;
-          step = split.train_batch_notify(
-              batch.x, batch.y, bucket_plan_->unit_param_counts(),
-              [&](size_t u) {
-                ++units_done;
-                tracker.unit_done(u, [&](int64_t bk) {
-                  publish_bucket(pair.slow_agent, ptrs, bk);
-                  // Published while split units were still pending: the
-                  // widened overlap window, as a number.
-                  if (units_done < total_units) ++out.split_early_buckets;
-                });
-              });
-        } else {
-          step = split.train_batch(batch.x, batch.y);
-        }
-        out.slow_loss_sum += step.slow_loss;
-        out.loss_sum += step.fast_loss;
-        ++out.loss_count;
-        if (b == 0) {
-          // Privacy leakage across the cut, measured on real
-          // activations, and the actually-achieved wire compression of
-          // the same payload.
-          const auto h =
-              slow.model->forward_range(batch.x, 0, pair.cut, false);
-          out.dcor += privacy::distance_correlation(batch.x, h);
-          out.wire_compression += comm::compression_ratio(h);
-          ++out.dcor_count;
-        }
-      }
-      if (slow_die >= 0) kill_agent(pair.slow_agent);
-      train_full(pair.fast_agent, rng, out);
-    } else {
-      // Solo agents train the full model. In multi-process mode only the
-      // owning shard trains the agent (the task's rng was already forked
-      // in fixed order, so skipping preserves every other draw); its
-      // result reaches the other workers through the exchange below.
-      const int64_t id = plan.solo[static_cast<size_t>(t) - n_pairs];
-      if (dist_ && dist_->owner[static_cast<size_t>(id)] != dist_->shard)
-        return;
-      train_full(id, rng, out);
-    }
-  };
-
-  // Fan the tasks out. Bucketed rounds go through the shared pipeline
-  // orchestration (collector slots in overlapped mode, abort-on-exception);
-  // flat rounds are a plain fan-out.
-  if (bucketed) {
-    pipeline_->run_round(static_cast<int64_t>(n_tasks), run_task, overlap);
+void RealFleet::run_task(Round& r, int64_t task) {
+  const auto t = static_cast<size_t>(task);
+  const int64_t primary = r.task_agent[t];
+  // Multi-process: the primary's owner runs the whole task, a pair's
+  // borrowed fast replica included (the task's rng was forked in fixed
+  // order, so skipping elsewhere preserves every other draw); the result
+  // reaches the other workers through the exchange.
+  if (dist_ && dist_->owner[static_cast<size_t>(primary)] != dist_->shard)
+    return;
+  if (t < r.plan.pairs.size()) {
+    train_pair(r, r.plan.pairs[t], r.task_rngs[t], r.results[t]);
   } else {
-    parallel_for(0, static_cast<int64_t>(n_tasks), 1,
-                 [&](int64_t lo, int64_t hi) {
-                   for (int64_t t = lo; t < hi; ++t) run_task(t);
-                 });
+    train_full(r, primary, r.task_rngs[t], r.results[t]);
   }
+}
 
+template <typename State>
+void RealFleet::publish_bucket(Round& r, int64_t agent, const State& state,
+                               int64_t bucket) {
+  // An armed publish budget kills the agent mid-stream: after
+  // `after_buckets` publishes the next attempt never lands, and the
+  // pipeline re-targets the dead agent's remaining buckets. All of one
+  // agent's publishes run on one thread, so the budget needs no
+  // synchronization.
+  const auto a = static_cast<size_t>(agent);
+  if (!agents_[a].alive) return;
+  int64_t& budget = r.publish_budget[a];
+  if (budget == 0) {
+    kill_agent(agent);
+    budget = -1;
+    return;
+  }
+  bucket_plan_->flatten_bucket(state, bucket, pipeline_->slot(agent, bucket));
+  pipeline_->contribute(agent, bucket);
+  if (budget > 0 && --budget == 0) {
+    kill_agent(agent);
+    budget = -1;
+  }
+}
+
+void RealFleet::train_full(Round& r, int64_t agent, tensor::Rng& rng,
+                           TaskResult& out) {
+  // When publishing from inside the task, the round's last batch steps
+  // each unit as its backward completes, so output-side buckets enter the
+  // pipeline while input-side backward compute is still running
+  // (bit-identical math either way).
+  auto& st = agents_[static_cast<size_t>(agent)];
+  nn::SGD opt(st.model->parameters(), r.sgd);
+  // Momentum is fleet state, not round state: carry the velocity across
+  // the per-round optimizer rebuilds (and through checkpoint/restore).
+  if (!st.velocity.empty()) opt.load_velocity(st.velocity);
+  const int64_t die_at = r.die_after_batches[static_cast<size_t>(agent)];
+  const int64_t batches =
+      die_at >= 0 ? std::min(options_.train.batches_per_round, die_at)
+                  : options_.train.batches_per_round;
+  for (int64_t b = 0; b < batches; ++b) {
+    const auto batch = next_batch(agent, rng);
+    float loss = 0.0f;
+    if (r.publish_in_task && b == batches - 1 && die_at < 0 &&
+        r.late[static_cast<size_t>(agent)] == 0) {
+      std::vector<tensor::Tensor*> ptrs;
+      st.model->collect_state(ptrs);
+      nn::BucketReadyTracker tracker(*bucket_plan_);
+      loss = nn::train_batch_full_notify(
+                 *st.model, opt, batch.x, batch.y,
+                 bucket_plan_->unit_param_counts(),
+                 [&](size_t u) {
+                   tracker.unit_done(u, [&](int64_t bk) {
+                     publish_bucket(r, agent, ptrs, bk);
+                   });
+                 })
+                 .loss;
+    } else {
+      loss = nn::train_batch_full(*st.model, opt, batch.x, batch.y).loss;
+    }
+    out.loss_sum += loss;
+    ++out.loss_count;
+  }
+  st.velocity = opt.velocity();
+  // Died after its batch quota: nothing published this round.
+  if (die_at >= 0) kill_agent(agent);
+}
+
+void RealFleet::train_pair(Round& r, const OffloadDecision& pair,
+                           tensor::Rng& rng, TaskResult& out) {
+  // Local-loss split training of the *slow* agent's replica (the fast side
+  // physically runs on the fast agent; state-wise it is the slow replica's
+  // suffix), while the fast agent also trains its own replica.
+  auto& slow = agents_[static_cast<size_t>(pair.slow_agent)];
+  const int64_t batches = options_.train.batches_per_round;
+  const int64_t slow_die =
+      r.die_after_batches[static_cast<size_t>(pair.slow_agent)];
+  const int64_t slow_batches =
+      slow_die >= 0 ? std::min(batches, slow_die) : batches;
+  nn::LocalLossSplitTrainer split(*slow.model, pair.cut, in_shape_, classes_,
+                                  rng, r.sgd);
+  for (int64_t b = 0; b < slow_batches; ++b) {
+    const auto batch = next_batch(pair.slow_agent, rng);
+    nn::LocalLossSplitTrainer::StepStats step;
+    if (r.publish_in_task && b == batches - 1 && slow_die < 0) {
+      // Final batch: per-unit finalization publishes the slow replica's
+      // buckets layer-by-layer during the split backward — prefix-side
+      // buckets enter the pipeline before the fast-side backward even
+      // starts, and every bucket ships before the fast agent's own
+      // full-model training below (bit-identical math either way).
+      std::vector<tensor::Tensor*> ptrs;
+      slow.model->collect_state(ptrs);
+      nn::BucketReadyTracker tracker(*bucket_plan_);
+      const size_t total_units = slow.model->size();
+      size_t units_done = 0;
+      step = split.train_batch_notify(
+          batch.x, batch.y, bucket_plan_->unit_param_counts(), [&](size_t u) {
+            ++units_done;
+            tracker.unit_done(u, [&](int64_t bk) {
+              publish_bucket(r, pair.slow_agent, ptrs, bk);
+              // Published while split units were still pending: the
+              // widened overlap window, as a number.
+              if (units_done < total_units) ++out.split_early_buckets;
+            });
+          });
+    } else {
+      step = split.train_batch(batch.x, batch.y);
+    }
+    out.slow_loss_sum += step.slow_loss;
+    out.loss_sum += step.fast_loss;
+    ++out.loss_count;
+    if (b == 0) {
+      // Privacy leakage across the cut, measured on real activations, and
+      // the actually-achieved wire compression of the same payload.
+      const auto h = slow.model->forward_range(batch.x, 0, pair.cut, false);
+      out.dcor += privacy::distance_correlation(batch.x, h);
+      out.wire_compression += comm::compression_ratio(h);
+      ++out.dcor_count;
+    }
+  }
+  if (slow_die >= 0) kill_agent(pair.slow_agent);
+  train_full(r, pair.fast_agent, rng, out);
+}
+
+void RealFleet::exchange(Round& r) {
   // Multi-process: gather every worker's owned TaskResults into the full
-  // vector so the serial fold below stays one code path — every worker
-  // folds identical slots and lands on the same mean_loss, dcor, and
+  // vector so the serial fold in finalize() stays one code path — every
+  // worker folds identical slots and lands on the same mean_loss, dcor, and
   // plateau trajectory. Pair tasks trained a borrowed fast replica on the
   // slow agent's owner; those replicas ship home here, and every worker
   // imports every borrowed blob so owners post current state into the
@@ -393,346 +390,170 @@ RealFleet::RoundStats RealFleet::step() {
   // `died`: they leave the fleet before the collective forms, so the
   // survivors aggregate exactly like a from-scratch survivor-only fleet
   // (the dead workers' zero TaskResult slots fold harmlessly).
-  if (dist_ && dist_->exchange) {
-    ExchangeIO io;
-    io.task_agent = &task_agent;
-    io.results = &results;
-    for (const OffloadDecision& p : plan.pairs) {
-      if (dist_->owner[static_cast<size_t>(p.slow_agent)] != dist_->shard)
-        continue;
-      if (dist_->owner[static_cast<size_t>(p.fast_agent)] != dist_->shard)
-        io.state_out.emplace_back(p.fast_agent, export_agent(p.fast_agent));
+  if (!dist_ || !dist_->exchange) return;
+  ExchangeIO io;
+  io.task_agent = &r.task_agent;
+  io.results = &r.results;
+  for (const OffloadDecision& p : r.plan.pairs)
+    if (dist_->owner[static_cast<size_t>(p.slow_agent)] == dist_->shard &&
+        dist_->owner[static_cast<size_t>(p.fast_agent)] != dist_->shard)
+      io.state_out.emplace_back(p.fast_agent, export_agent(p.fast_agent));
+  dist_->exchange(io);
+  for (const AgentBlob& blob : io.state_in)
+    import_agent(blob.first, blob.second);
+  for (const int64_t a : io.died)
+    if (agents_[static_cast<size_t>(a)].alive) kill_agent(a);
+}
+
+void RealFleet::publish_all(Round& r) {
+  // Every on-time live agent publishes all of its buckets, from the
+  // DP-noised snapshot or straight from its replica (untouched until the
+  // write-back, so a multi-process retry can publish again). An armed
+  // publish budget kills its agent mid-publication, like the in-task path.
+  for (size_t i = 0; i < agents_.size(); ++i) {
+    if (!agents_[i].alive || r.late[i] != 0) continue;
+    const auto publish = [&](const auto& state) {
+      for (int64_t bk = 0; bk < bucket_plan_->buckets(); ++bk)
+        publish_bucket(r, static_cast<int64_t>(i), state, bk);
+    };
+    if (r.dp) {
+      publish(dp_states_[i]);
+      continue;
     }
-    dist_->exchange(io);
-    for (const AgentBlob& blob : io.state_in)
-      import_agent(blob.first, blob.second);
-    for (const int64_t a : io.died)
-      if (agents_[static_cast<size_t>(a)].alive) kill_agent(a);
+    std::vector<tensor::Tensor*> ptrs;
+    agents_[i].model->collect_state(ptrs);
+    publish(ptrs);
   }
+}
 
-  float slow_loss_sum = 0.0f, loss_sum = 0.0f;
-  int64_t loss_count = 0;
-  double dcor_sum = 0.0;
-  int64_t dcor_count = 0;
-  for (const TaskResult& r : results) {
-    slow_loss_sum += r.slow_loss_sum;
-    loss_sum += r.loss_sum;
-    loss_count += r.loss_count;
-    dcor_sum += r.dcor;
-    stats.mean_wire_compression += r.wire_compression;
-    dcor_count += r.dcor_count;
-    stats.split_early_buckets += r.split_early_buckets;
-  }
-
-  // The modeled compute span of the round. With deferral the straggler no
-  // longer gates the barrier: the span is the slowest *on-time*
-  // participant (pair completion times and on-time solo times).
-  double t_comp = plan.estimated_round_time;
-  if (n_late > 0) {
-    t_comp = 0.0;
-    for (const OffloadDecision& p : plan.pairs)
-      t_comp = std::max(t_comp, p.estimated_time);
-    for (const int64_t id : plan.solo)
-      if (late[static_cast<size_t>(id)] == 0)
-        t_comp = std::max(t_comp,
-                          infos[static_cast<size_t>(id)].tau_solo);
-  }
-  if (!bucketed) {
-    // Optional DP on each agent's state before it leaves the device. The
-    // merge buffers are fleet members reused round over round. Snapshots
-    // and noise draws cover every agent (dead ones included) so the fleet
-    // rng sequence does not depend on the failure pattern; only the live
-    // agents' states enter the collective.
-    std::vector<std::vector<tensor::Tensor>>& states = state_scratch_;
-    states.resize(agents_.size());
-    for (size_t i = 0; i < agents_.size(); ++i)
-      nn::copy_state_into(*agents_[i].model, states[i]);
-    if (dp) {
-      for (auto& s : states)
-        privacy::laplace_mechanism(s, options_.privacy.dp_epsilon,
-                                   options_.privacy.dp_sensitivity, rng_);
-    }
-
-    // Real message-level decentralized aggregation over an InProcTransport.
-    // The collective routes through the overlay at the bottleneck rate (the
-    // seed cost models' assumption), and one run yields both the executed
-    // traffic and the modeled clock — predicted cost and real bytes are the
-    // same schedule by construction. Agents that died this round are
-    // excluded: the survivors aggregate over a grid of their own size,
-    // exactly a from-scratch survivor-only fleet.
-    const std::vector<int64_t> live = live_agents();
-    std::vector<std::vector<tensor::Tensor>> live_states;
-    live_states.reserve(live.size());
-    for (const int64_t a : live)
-      live_states.push_back(std::move(states[static_cast<size_t>(a)]));
-    if (dist_) {
-      // Multi-process: the same survivor schedule runs rank-partitioned
-      // over the shared (socket) transport — identical message pattern,
-      // identical merge order and arithmetic, so every worker's owned
-      // buffers land on the same bit-identical consensus mean. Non-owned
-      // rows hold stale replicas; their buffers are never read (only
-      // owned sends post, only owned recvs fold).
-      //
-      // A worker crash mid-collective surfaces as EndpointDownError on
-      // some (not necessarily all — schedules don't touch every pair every
-      // step) survivors. Recovery: after every attempt the collective_sync
-      // barrier reconciles the survivors' views, the dead worker's agents
-      // leave the fleet, the data mesh is rebuilt (a fresh transport
-      // cannot carry stale frames from the aborted schedule), and the
-      // survivor set re-runs from the pristine post-training snapshots —
-      // exactly the schedule a from-scratch survivor-only fleet would run.
-      const int64_t n = comm::state_elems(live_states[0]);
-      std::vector<double> slab(
-          static_cast<size_t>(agents_.size()) * static_cast<size_t>(n));
-      comm::CollectiveRequest req;
-      req.elems = n;
-      std::vector<char> owned(agents_.size(), 0);
-      std::vector<int64_t> row(agents_.size(), -1);
-      for (size_t i = 0; i < live.size(); ++i)
-        row[static_cast<size_t>(live[i])] = static_cast<int64_t>(i);
-      // Re-point the request at `parts` and re-fill every owned row from
-      // its pristine post-training state (an aborted attempt leaves owned
-      // buffers partially folded). Returns the first owned participant.
-      const auto flatten_owned =
-          [&](const std::vector<int64_t>& parts) -> int64_t {
-        std::fill(owned.begin(), owned.end(), 0);
-        req.buffers.assign(agents_.size(), nullptr);
-        int64_t first_owned = -1;
-        for (const int64_t p : parts) {
-          const auto a = static_cast<size_t>(p);
-          req.buffers[a] = slab.data() + a * static_cast<size_t>(n);
-          if (dist_->owner[a] == dist_->shard) {
-            owned[a] = 1;
-            comm::flatten_state(live_states[static_cast<size_t>(row[a])],
-                                req.buffers[a]);
-            if (first_owned < 0) first_owned = p;
-          }
-        }
-        return first_owned;
-      };
-      std::vector<int64_t> parts = live;
-      int64_t first_owned = flatten_owned(parts);
-      COMDML_REQUIRE(first_owned >= 0,
-                     "shard " << dist_->shard
-                              << " owns no live agent; it cannot take part "
-                                 "in the aggregation round");
-      for (;;) {
-        bool ok = true;
-        if (parts.size() > 1) {
-          try {
-            const auto sched = comm::allreduce_schedule_over(
-                comm::allreduce_protocol(options_.comms.aggregation), parts,
-                n);
-            comm::execute_schedule_owned(sched, *dist_->transport, req,
-                                         owned);
-          } catch (const comm::EndpointDownError&) {
-            ok = false;
-          }
-        }
-        // This worker's view of the survivors: the attempted participants
-        // minus the endpoints the transport has declared dead.
-        std::vector<int64_t> view;
-        for (const int64_t p : parts)
-          if (dist_->transport->endpoint_alive(p)) view.push_back(p);
-        if (dist_->collective_sync) {
-          auto agreement = dist_->collective_sync(view, ok);
-          std::sort(agreement.first.begin(), agreement.first.end());
-          for (const int64_t p : parts)
-            if (!std::binary_search(agreement.first.begin(),
-                                    agreement.first.end(), p) &&
-                agents_[static_cast<size_t>(p)].alive)
-              kill_agent(p);
-          parts = std::move(agreement.first);
-          COMDML_REQUIRE(!parts.empty(),
-                         "collective recovery lost every live agent");
-          if (agreement.second == nullptr) break;  // settled everywhere
-          dist_->transport = agreement.second;
-          first_owned = flatten_owned(parts);
-          COMDML_REQUIRE(first_owned >= 0,
-                         "shard " << dist_->shard
-                                  << " owns no agent surviving the "
-                                     "collective recovery");
-        } else {
-          if (ok) break;
-          // No coordinator to arbitrate (single-worker context in tests):
-          // trust the local view, drop in-flight frames, and retry.
-          for (const int64_t p : parts)
-            if (!dist_->transport->endpoint_alive(p) &&
-                agents_[static_cast<size_t>(p)].alive)
-              kill_agent(p);
-          COMDML_REQUIRE(!view.empty(),
-                         "collective recovery lost every live agent");
-          dist_->transport->clear_pending();
-          parts = std::move(view);
-          first_owned = flatten_owned(parts);
-          COMDML_REQUIRE(first_owned >= 0,
-                         "shard " << dist_->shard
-                                  << " owns no agent surviving the "
-                                     "collective recovery");
-        }
-      }
-      // Every owned surviving buffer now holds the same mean; adopt it as
-      // the consensus on every surviving replica — owned or not — so
-      // evaluate(), rejoin() and the next round's training see one fleet
-      // model. Agents killed mid-collective only hand their buffers back.
-      const double* mean = req.buffers[static_cast<size_t>(first_owned)];
-      for (size_t i = 0; i < live.size(); ++i) {
-        const auto a = static_cast<size_t>(live[i]);
-        if (agents_[a].alive) {
-          comm::unflatten_state(mean, live_states[i]);
-          nn::load_state(*agents_[a].model, live_states[i]);
-        }
-        states[a] = std::move(live_states[i]);  // hand the buffers back
-      }
-
-      // This worker's share of the executed traffic; the daemon merges
-      // the per-worker step histories into the fleet-level clock.
-      const comm::TransportStats ts = dist_->transport->stats_snapshot();
-      stats.aggregation_seconds = ts.seconds;
-      stats.aggregation_bytes = ts.max_bytes_sent();
-      stats.exposed_comm_seconds = ts.seconds;
-      stats.sim_time = t_comp + ts.seconds;
-    } else {
-      const auto min_bw = topology_.min_link_bandwidth();
-      COMDML_REQUIRE(min_bw.has_value() || live.size() == 1,
-                     "topology has no usable link");
-      const auto agg = comm::allreduce_average_over(
-          live_states,
-          comm::LinkGrid::uniform(static_cast<int64_t>(live.size()),
-                                  min_bw.value_or(100.0),
-                                  options_.comms.latency_sec),
-          options_.comms.aggregation);
-      for (size_t i = 0; i < live.size(); ++i) {
-        const auto a = static_cast<size_t>(live[i]);
-        nn::load_state(*agents_[a].model, live_states[i]);
-        states[a] = std::move(live_states[i]);  // hand the buffers back
-      }
-
-      // Simulated wall-clock: balanced round span + the collective.
-      stats.aggregation_seconds = agg.cost.seconds;
-      stats.aggregation_bytes = agg.cost.bytes_per_agent;
-      stats.exposed_comm_seconds = agg.cost.seconds;
-      stats.sim_time = t_comp + agg.cost.seconds;
-    }
-  } else {
-    if (dp) {
-      // Snapshot + noise in agent order with the fleet Rng (same draw
-      // sequence as the flat path, dead agents included), then publish
-      // every live agent's buckets — an armed publish budget kills its
-      // agent mid-publication here, just like the in-task path.
-      std::vector<std::vector<tensor::Tensor>>& states = state_scratch_;
-      states.resize(agents_.size());
+void RealFleet::aggregate(Round& r) {
+  if (!r.publish_in_task) {
+    if (r.dp) {
+      // Snapshot + noise every agent (dead ones included, so the fleet
+      // rng sequence does not depend on the failure pattern) in agent
+      // order with the fleet Rng.
+      dp_states_.resize(agents_.size());
       for (size_t i = 0; i < agents_.size(); ++i)
-        nn::copy_state_into(*agents_[i].model, states[i]);
-      for (auto& s : states)
+        nn::copy_state_into(*agents_[i].model, dp_states_[i]);
+      for (auto& s : dp_states_)
         privacy::laplace_mechanism(s, options_.privacy.dp_epsilon,
                                    options_.privacy.dp_sensitivity, rng_);
-      for (size_t i = 0; i < agents_.size(); ++i) {
-        const auto a = static_cast<int64_t>(i);
-        if (!agents_[i].alive || late[i] != 0) continue;
-        int64_t& budget = publish_budget[i];
-        for (int64_t bk = 0; bk < bucket_plan_->buckets(); ++bk) {
-          if (budget == 0) {
-            kill_agent(a);
-            budget = -1;
-            break;
-          }
-          bucket_plan_->flatten_bucket(states[i], bk, pipeline_->slot(a, bk));
-          pipeline_->contribute(a, bk);
-          if (budget > 0 && --budget == 0) {
-            kill_agent(a);
-            budget = -1;
-            break;
-          }
-        }
-      }
     }
-    // Overlapped rounds drained inside the training fan-out; sequential
-    // bucketed rounds reduce here, in ready order on this thread.
-    if (!overlap) pipeline_->drain();
+    publish_all(r);
+  }
+  // Overlapped rounds drained inside the training fan-out; sequential
+  // rounds reduce here, in ready order on this thread.
+  if (dist_) {
+    reduce_across_processes(r);
+  } else if (!r.overlap) {
+    pipeline_->drain();
+  }
 
-    // Mid-collective victims died during the reduce; take them out before
-    // the write-back (their slots hold pre-recovery payloads, not means)
-    // and disarm the transport faults so the next round's reset step
-    // counters do not re-kill them against the survivors.
-    for (const int64_t v : collective_victims) {
-      if (agents_[static_cast<size_t>(v)].alive) {
-        agents_[static_cast<size_t>(v)].alive = false;
-        pipeline_->leave(v);
-      }
+  // Mid-collective victims died during the reduce; take them out before
+  // the write-back (their slots hold pre-recovery payloads, not means)
+  // and disarm the transport faults so the next round's reset step
+  // counters do not re-kill them against the survivors.
+  for (const int64_t v : r.collective_victims)
+    if (agents_[static_cast<size_t>(v)].alive) set_membership(v, false);
+  if (!r.collective_victims.empty()) pipeline_->clear_endpoint_failures();
+
+  // Every on-time live agent's slots now hold the bucket means; write
+  // them back. Deferred stragglers stage their late update, fold
+  // (late - consensus) into their residual so the work re-enters the
+  // stream next round, and adopt the consensus so the fleet stays
+  // synchronized.
+  int64_t src = -1;
+  for (size_t i = 0; i < agents_.size(); ++i)
+    if (agents_[i].alive && r.late[i] == 0) {
+      src = static_cast<int64_t>(i);
+      break;
     }
-    if (!collective_victims.empty()) pipeline_->clear_endpoint_failures();
-
-    // Every on-time live agent's slots now hold the bucket means; write
-    // them back. Deferred stragglers are re-synced below instead.
-    for (size_t i = 0; i < agents_.size(); ++i) {
-      if (!agents_[i].alive || late[i] != 0) continue;
-      std::vector<tensor::Tensor*> ptrs;
-      agents_[i].model->collect_state(ptrs);
-      pipeline_->restore_state(static_cast<int64_t>(i), ptrs);
-    }
-
-    // Deferred stragglers: stage the late update, fold (late - consensus)
-    // into the agent's residual so the work re-enters the stream next
-    // round, and adopt the consensus so the fleet stays synchronized.
-    if (n_late > 0) {
-      int64_t src = -1;
-      for (int64_t a = 0; a < agents(); ++a)
-        if (agents_[static_cast<size_t>(a)].alive &&
-            late[static_cast<size_t>(a)] == 0) {
-          src = a;
-          break;
-        }
+  for (size_t i = 0; i < agents_.size(); ++i) {
+    if (!agents_[i].alive) continue;
+    const auto a = static_cast<int64_t>(i);
+    std::vector<tensor::Tensor*> ptrs;
+    agents_[i].model->collect_state(ptrs);
+    if (r.late[i] != 0) {
       COMDML_REQUIRE(src >= 0,
                      "straggler deferral lost every on-time agent this round");
-      for (int64_t a = 0; a < agents(); ++a) {
-        if (late[static_cast<size_t>(a)] == 0 ||
-            !agents_[static_cast<size_t>(a)].alive)
-          continue;
-        std::vector<tensor::Tensor*> ptrs;
-        agents_[static_cast<size_t>(a)].model->collect_state(ptrs);
-        pipeline_->stage_state(a, ptrs);
-        pipeline_->absorb_late(a, src);
-        pipeline_->restore_state(a, ptrs);
-      }
+      pipeline_->stage_state(a, ptrs);
+      pipeline_->absorb_late(a, src);
     }
+    pipeline_->restore_state(a, ptrs);
+  }
+}
 
-    const PipelineStats ps = pipeline_->stats();
-    stats.aggregation_seconds = ps.comm_seconds;
-    stats.aggregation_bytes = ps.max_bytes_sent;
-    stats.buckets = ps.buckets;
-    stats.retransmit_bytes = ps.retransmit_bytes;
+void RealFleet::reduce_across_processes(Round& r) {
+  // The survivor schedule runs rank-partitioned over the shared (socket)
+  // data mesh: identical message pattern, merge order and arithmetic, so
+  // every worker lands on the single-process consensus bit for bit.
+  //
+  // A worker crash mid-collective surfaces as EndpointDownError on some
+  // (not necessarily all — schedules don't touch every pair every step)
+  // survivors. Recovery: after every attempt the collective_sync barrier
+  // reconciles the survivors' views, the dead worker's agents leave the
+  // fleet, the data mesh is rebuilt (a fresh transport cannot carry stale
+  // frames from the aborted schedule), and the survivors publish again —
+  // exactly the schedule a from-scratch survivor-only fleet would run.
+  for (;;) {
+    const std::vector<int64_t> parts = live_agents();
+    bool ok = true;
+    try {
+      pipeline_->drain();
+    } catch (const comm::EndpointDownError&) {
+      ok = false;
+    }
+    // This worker's view of the survivors: the attempted participants
+    // minus the endpoints the transport has declared dead.
+    std::vector<int64_t> view;
+    for (const int64_t p : parts)
+      if (dist_->transport->endpoint_alive(p)) view.push_back(p);
+    if (dist_->collective_sync) {
+      auto [agreed, fresh] = dist_->collective_sync(view, ok);
+      std::sort(agreed.begin(), agreed.end());
+      for (const int64_t p : parts)
+        if (!std::binary_search(agreed.begin(), agreed.end(), p) &&
+            agents_[static_cast<size_t>(p)].alive)
+          kill_agent(p);
+      COMDML_REQUIRE(!agreed.empty(),
+                     "collective recovery lost every live agent");
+      if (fresh == nullptr) return;  // settled everywhere
+      use_dist_transport(fresh);
+    } else {
+      if (ok) return;
+      // No coordinator to arbitrate (single-worker context in tests):
+      // trust the local view, drop in-flight frames, and retry.
+      for (const int64_t p : parts)
+        if (!dist_->transport->endpoint_alive(p) &&
+            agents_[static_cast<size_t>(p)].alive)
+          kill_agent(p);
+      COMDML_REQUIRE(!view.empty(),
+                     "collective recovery lost every live agent");
+      dist_->transport->clear_pending();
+    }
+    pipeline_->begin_round();
+    publish_all(r);
+  }
+}
 
-    // Modeled clock. Overlapped: bucket b is producible no earlier than
-    // the fastest agent's backward tail allows (the last agent to finalize
-    // a bucket gates it, and agents finish the balanced round together),
-    // so ready(b) = t_comp - tau_batch_min * back_frac(b). Sequential:
-    // everything is ready at the training barrier. Either way the bucket
-    // collectives serialize on the shared link from their ready times —
-    // the same composition the parity tests run on SimTransport-predicted
-    // bucket costs.
-    double tau_min = 0.0;
-    if (overlap) {
-      tau_min = 1e300;
-      for (const AgentInfo& a : infos)
-        tau_min = std::min(tau_min, 1.0 / a.proc_speed);
-    }
-    std::vector<double> ready(static_cast<size_t>(ps.buckets), t_comp);
-    if (overlap) {
-      for (int64_t b = 0; b < ps.buckets; ++b)
-        ready[static_cast<size_t>(b)] = std::max(
-            0.0,
-            t_comp - tau_min * bucket_back_frac_[static_cast<size_t>(b)]);
-    }
-    const OverlapTimeline timeline =
-        compose_overlap_timeline(ready, ps.bucket_seconds);
-    stats.sim_time = std::max(t_comp, timeline.span);
-    stats.exposed_comm_seconds = stats.sim_time - t_comp;
+RealFleet::RoundStats RealFleet::finalize(Round& r) {
+  RoundStats& stats = r.stats;
+  float slow_loss_sum = 0.0f, loss_sum = 0.0f;
+  int64_t loss_count = 0, dcor_count = 0;
+  double dcor_sum = 0.0;
+  for (const TaskResult& t : r.results) {
+    slow_loss_sum += t.slow_loss_sum;
+    loss_sum += t.loss_sum;
+    loss_count += t.loss_count;
+    dcor_sum += t.dcor;
+    stats.mean_wire_compression += t.wire_compression;
+    dcor_count += t.dcor_count;
+    stats.split_early_buckets += t.split_early_buckets;
   }
   stats.mean_slow_loss =
-      plan.pairs.empty()
+      r.plan.pairs.empty()
           ? 0.0f
-          : slow_loss_sum / static_cast<float>(plan.pairs.size() *
+          : slow_loss_sum / static_cast<float>(r.plan.pairs.size() *
                                                options_.train.batches_per_round);
   stats.mean_loss =
       loss_count == 0 ? 0.0f : loss_sum / static_cast<float>(loss_count);
@@ -740,6 +561,7 @@ RealFleet::RoundStats RealFleet::step() {
       dcor_count == 0 ? 0.0 : dcor_sum / static_cast<double>(dcor_count);
   if (dcor_count > 0)
     stats.mean_wire_compression /= static_cast<double>(dcor_count);
+  model_clock(r);
 
   // Plateau LR schedule (paper §V-A): decay when the fleet loss stalls.
   if (plateau_) {
@@ -747,13 +569,55 @@ RealFleet::RoundStats RealFleet::step() {
     if (mult < 1.0f) current_lr_ *= mult;
   }
   stats.dropped_agents =
-      live_before - static_cast<int64_t>(live_agents().size());
+      r.live_before - static_cast<int64_t>(live_agents().size());
   ++round_;
   ++rounds_since_checkpoint_;
   if (options_.faults.checkpoint_every > 0 &&
       round_ % options_.faults.checkpoint_every == 0)
     auto_checkpoint();
   return stats;
+}
+
+void RealFleet::model_clock(Round& r) {
+  // The modeled compute span of the round. With deferral the straggler no
+  // longer gates the barrier: the span is the slowest *on-time*
+  // participant (pair completion times and on-time solo times).
+  double t_comp = r.plan.estimated_round_time;
+  if (r.stats.late_agents > 0) {
+    t_comp = 0.0;
+    for (const OffloadDecision& p : r.plan.pairs)
+      t_comp = std::max(t_comp, p.estimated_time);
+    for (const int64_t id : r.plan.solo)
+      if (r.late[static_cast<size_t>(id)] == 0)
+        t_comp = std::max(t_comp, r.infos[static_cast<size_t>(id)].tau_solo);
+  }
+  const PipelineStats ps = pipeline_->stats();
+  RoundStats& stats = r.stats;
+  stats.aggregation_seconds = ps.comm_seconds;
+  stats.aggregation_bytes = ps.max_bytes_sent;
+  stats.buckets = ps.buckets;
+  stats.retransmit_bytes = ps.retransmit_bytes;
+
+  // Overlapped: bucket b is producible no earlier than the fastest agent's
+  // backward tail allows (the last agent to finalize a bucket gates it,
+  // and agents finish the balanced round together), so ready(b) = t_comp -
+  // tau_batch_min * back_frac(b). Sequential: everything is ready at the
+  // training barrier. Either way the bucket collectives serialize on the
+  // shared link from their ready times — the same composition the parity
+  // tests run on SimTransport-predicted bucket costs.
+  std::vector<double> ready(static_cast<size_t>(ps.buckets), t_comp);
+  if (r.overlap) {
+    double tau_min = 1e300;
+    for (const AgentInfo& a : r.infos)
+      tau_min = std::min(tau_min, 1.0 / a.proc_speed);
+    for (int64_t b = 0; b < ps.buckets; ++b)
+      ready[static_cast<size_t>(b)] = std::max(
+          0.0, t_comp - tau_min * bucket_back_frac_[static_cast<size_t>(b)]);
+  }
+  const OverlapTimeline timeline =
+      compose_overlap_timeline(ready, ps.bucket_seconds);
+  stats.sim_time = std::max(t_comp, timeline.span);
+  stats.exposed_comm_seconds = stats.sim_time - t_comp;
 }
 
 float RealFleet::evaluate(const data::Dataset& test) {
@@ -788,13 +652,21 @@ int64_t RealFleet::first_live() const {
 
 void RealFleet::kill_agent(int64_t agent) {
   agents_[static_cast<size_t>(agent)].alive = false;
-  if (pipeline_) pipeline_->deactivate(agent);
+  pipeline_->deactivate(agent);
+}
+
+void RealFleet::set_membership(int64_t agent, bool alive) {
+  agents_[static_cast<size_t>(agent)].alive = alive;
+  if (alive) {
+    pipeline_->rejoin(agent);
+  } else {
+    pipeline_->leave(agent);
+  }
 }
 
 void RealFleet::leave(int64_t agent) {
   COMDML_CHECK(agent >= 0 && agent < agents());
-  agents_[static_cast<size_t>(agent)].alive = false;
-  if (pipeline_) pipeline_->leave(agent);
+  set_membership(agent, false);
 }
 
 void RealFleet::rejoin(int64_t agent) {
@@ -806,75 +678,151 @@ void RealFleet::rejoin(int64_t agent) {
   const int64_t src = first_live();
   nn::load_state(*st.model, nn::state_of(*agents_[static_cast<size_t>(src)].model));
   st.velocity.clear();
-  st.alive = true;
-  if (pipeline_) pipeline_->rejoin(agent);
+  set_membership(agent, true);
 }
 
 namespace {
 constexpr uint32_t kCheckpointMagic = 0x434D444C;  // "CMDL"
-constexpr uint32_t kCheckpointVersion = 2;
-}  // namespace
+constexpr uint32_t kCheckpointVersion = 3;
+constexpr uint32_t kShardMagic = 0x434D4453;  // "CMDS"
+constexpr uint32_t kShardVersion = 1;
+constexpr size_t kFrameHeader = 2 * sizeof(uint32_t) + sizeof(uint64_t);
 
-std::vector<uint8_t> RealFleet::checkpoint() {
-  // Body first, then the [magic | version | checksum] frame around it —
-  // restore() verifies the fnv1a before parsing a single body field, so
-  // truncation and bit rot surface as CheckpointError up front.
-  tensor::ByteWriter body;
-  body.u32(static_cast<uint32_t>(agents()));
-  body.i64(round_);
-  body.f32(current_lr_);
-  body.str(rng_.state());
-  body.u8(plateau_.has_value() ? 1 : 0);
-  if (plateau_) {
-    const nn::PlateauScheduler::State s = plateau_->save();
-    body.f32(s.best);
-    body.i64(s.stale);
-  }
-  for (AgentState& st : agents_) {
-    body.u8(st.alive ? 1 : 0);
-    body.tensors(nn::state_of(*st.model));
-    body.tensors(st.velocity);
-    const data::Batcher::State bs = st.batcher->save();
-    body.i64s(bs.order);
-    body.i64(bs.cursor);
-    body.i64(bs.epoch);
-    body.str(bs.rng);
-  }
-  body.u8(pipeline_ != nullptr ? 1 : 0);
-  if (pipeline_) body.f64s(pipeline_->residuals());
-
-  const std::vector<uint8_t> payload = body.bytes();
+/// [magic | version | fnv1a(payload) | payload]. The reader verifies the
+/// checksum before parsing a single payload field, so truncation and bit
+/// rot surface as CheckpointError up front.
+std::vector<uint8_t> frame(uint32_t magic, uint32_t version,
+                           const std::vector<uint8_t>& payload) {
   tensor::ByteWriter w;
-  w.u32(kCheckpointMagic);
-  w.u32(kCheckpointVersion);
+  w.u32(magic);
+  w.u32(version);
   w.u64(tensor::fnv1a(payload.data(), payload.size()));
   w.raw(payload);
   return w.bytes();
 }
 
-void RealFleet::restore(const std::vector<uint8_t>& bytes) {
-  // Frame validation. Every defect below is a CheckpointError: the caller
-  // handed us an unusable blob, not a programming error.
-  constexpr size_t kHeader = 2 * sizeof(uint32_t) + sizeof(uint64_t);
-  if (bytes.size() < kHeader)
-    throw CheckpointError("checkpoint truncated: " +
+/// Validates a frame() envelope and returns a reader at its payload. Every
+/// defect is a CheckpointError naming `what`: the caller handed us an
+/// unusable blob, not a programming error.
+tensor::ByteReader unframe(const std::vector<uint8_t>& bytes, uint32_t magic,
+                           uint32_t version, const std::string& what) {
+  if (bytes.size() < kFrameHeader)
+    throw CheckpointError(what + " truncated: " +
                           std::to_string(bytes.size()) +
                           " bytes is smaller than the header");
   tensor::ByteReader r(bytes);
-  if (r.u32() != kCheckpointMagic)
-    throw CheckpointError("not a fleet checkpoint (bad magic)");
-  const uint32_t version = r.u32();
-  if (version != kCheckpointVersion)
-    throw CheckpointError("unsupported checkpoint version " +
-                          std::to_string(version) + " (expected " +
-                          std::to_string(kCheckpointVersion) + ")");
+  if (r.u32() != magic)
+    throw CheckpointError("not a fleet " + what + " (bad magic)");
+  const uint32_t got = r.u32();
+  if (got != version)
+    throw CheckpointError("unsupported " + what + " version " +
+                          std::to_string(got) + " (expected " +
+                          std::to_string(version) + ")");
   const uint64_t want_sum = r.u64();
-  const uint64_t got_sum =
-      tensor::fnv1a(bytes.data() + kHeader, bytes.size() - kHeader);
-  if (got_sum != want_sum)
-    throw CheckpointError(
-        "checkpoint checksum mismatch (truncated or corrupted blob)");
+  if (tensor::fnv1a(bytes.data() + kFrameHeader,
+                    bytes.size() - kFrameHeader) != want_sum)
+    throw CheckpointError(what +
+                          " checksum mismatch (truncated or corrupted blob)");
+  return r;
+}
 
+void write_plateau(tensor::ByteWriter& w,
+                   const std::optional<nn::PlateauScheduler>& plateau) {
+  w.u8(plateau.has_value() ? 1 : 0);
+  if (!plateau) return;
+  const nn::PlateauScheduler::State s = plateau->save();
+  w.f32(s.best);
+  w.i64(s.stale);
+}
+
+std::optional<nn::PlateauScheduler::State> read_plateau(
+    tensor::ByteReader& r) {
+  if (r.u8() == 0) return std::nullopt;
+  nn::PlateauScheduler::State s;
+  s.best = r.f32();
+  s.stale = static_cast<int>(r.i64());
+  return s;
+}
+
+/// One worker's checkpoint shard, parsed (see checkpoint_shard()).
+struct ParsedShard {
+  int64_t agents_total = 0;
+  int64_t round = 0;
+  int64_t shard = 0;
+  int64_t shards = 0;
+  float lr = 0.0f;
+  std::string rng;
+  std::optional<nn::PlateauScheduler::State> plateau;
+  std::vector<std::pair<int64_t, std::string>> blobs;
+};
+
+ParsedShard parse_shard(const std::vector<uint8_t>& bytes) {
+  tensor::ByteReader r =
+      unframe(bytes, kShardMagic, kShardVersion, "checkpoint shard");
+  try {
+    ParsedShard p;
+    p.agents_total = static_cast<int64_t>(r.u32());
+    p.round = r.i64();
+    p.shard = r.i64();
+    p.shards = r.i64();
+    p.lr = r.f32();
+    p.rng = r.str();
+    p.plateau = read_plateau(r);
+    const uint32_t count = r.u32();
+    for (uint32_t i = 0; i < count; ++i) {
+      const int64_t a = r.i64();
+      p.blobs.emplace_back(a, r.str());
+    }
+    r.expect_done();
+    return p;
+  } catch (const std::invalid_argument& e) {
+    throw CheckpointError(std::string("malformed checkpoint shard: ") +
+                          e.what());
+  }
+}
+}  // namespace
+
+void RealFleet::write_agent(tensor::ByteWriter& w, int64_t agent) {
+  AgentState& st = agents_[static_cast<size_t>(agent)];
+  w.u8(st.alive ? 1 : 0);
+  w.tensors(nn::state_of(*st.model));
+  w.tensors(st.velocity);
+  const data::Batcher::State bs = st.batcher->save();
+  w.i64s(bs.order);
+  w.i64(bs.cursor);
+  w.i64(bs.epoch);
+  w.str(bs.rng);
+}
+
+void RealFleet::read_agent(tensor::ByteReader& r, int64_t agent) {
+  AgentState& st = agents_[static_cast<size_t>(agent)];
+  const bool alive = r.u8() != 0;
+  if (alive != st.alive) set_membership(agent, alive);
+  nn::load_state(*st.model, r.tensors());
+  st.velocity = r.tensors();
+  data::Batcher::State bs;
+  bs.order = r.i64s();
+  bs.cursor = r.i64();
+  bs.epoch = r.i64();
+  bs.rng = r.str();
+  st.batcher->load(bs);
+}
+
+std::vector<uint8_t> RealFleet::checkpoint() {
+  tensor::ByteWriter body;
+  body.u32(static_cast<uint32_t>(agents()));
+  body.i64(round_);
+  body.f32(current_lr_);
+  body.str(rng_.state());
+  write_plateau(body, plateau_);
+  for (int64_t a = 0; a < agents(); ++a) write_agent(body, a);
+  body.f64s(pipeline_->residuals());
+  return frame(kCheckpointMagic, kCheckpointVersion, body.bytes());
+}
+
+void RealFleet::restore(const std::vector<uint8_t>& bytes) {
+  tensor::ByteReader r =
+      unframe(bytes, kCheckpointMagic, kCheckpointVersion, "checkpoint");
   // The body parse cannot run off the end (the checksum covered every
   // byte), but a malformed length field could still ask for more than is
   // there; surface that as a CheckpointError too.
@@ -888,67 +836,37 @@ void RealFleet::restore(const std::vector<uint8_t>& bytes) {
     round_ = r.i64();
     current_lr_ = r.f32();
     rng_.set_state(r.str());
-    const bool has_plateau = r.u8() != 0;
-    if (has_plateau != plateau_.has_value())
+    const auto plateau = read_plateau(r);
+    if (plateau.has_value() != plateau_.has_value())
       throw CheckpointError("checkpoint plateau-schedule config mismatch");
-    if (plateau_) {
-      nn::PlateauScheduler::State s;
-      s.best = r.f32();
-      s.stale = static_cast<int>(r.i64());
-      plateau_->load(s);
-    }
-    for (int64_t a = 0; a < k; ++a) {
-      AgentState& st = agents_[static_cast<size_t>(a)];
-      st.alive = r.u8() != 0;
-      nn::load_state(*st.model, r.tensors());
-      st.velocity = r.tensors();
-      data::Batcher::State bs;
-      bs.order = r.i64s();
-      bs.cursor = r.i64();
-      bs.epoch = r.i64();
-      bs.rng = r.str();
-      st.batcher->load(bs);
-      if (pipeline_) {
-        // Sync the pipeline's membership (rejoin also clears residuals and
-        // endpoint faults for the agent; the checkpointed residual slab is
-        // loaded right after, so the order matters).
-        if (st.alive)
-          pipeline_->rejoin(a);
-        else
-          pipeline_->leave(a);
-      }
-    }
+    if (plateau_) plateau_->load(*plateau);
+    // Liveness changes also sync the pipeline's membership (a rejoin
+    // zeroes the agent's residual row, so the slab loads after).
+    for (int64_t a = 0; a < k; ++a) read_agent(r, a);
     // A narrower checkpoint restores into a wider fleet: the agents beyond
     // the checkpointed set come up as left (the consensus does not include
     // them) and can rejoin from a live agent's post-aggregation state.
     for (int64_t a = k; a < agents(); ++a) {
-      AgentState& st = agents_[static_cast<size_t>(a)];
-      st.alive = false;
-      st.velocity.clear();
-      if (pipeline_) pipeline_->leave(a);
+      set_membership(a, false);
+      agents_[static_cast<size_t>(a)].velocity.clear();
     }
-    const bool has_pipeline = r.u8() != 0;
-    if (has_pipeline != (pipeline_ != nullptr))
-      throw CheckpointError("checkpoint bucketing config mismatch");
-    if (pipeline_) {
-      std::vector<double> residuals = r.f64s();
-      const size_t want = pipeline_->residuals().size();
-      if (want > 0) {
-        // The checkpointed slab covers k agents; rows for the extra agents
-        // of a wider fleet start zeroed (no residual history).
-        const size_t per_agent = want / static_cast<size_t>(agents());
-        if (residuals.size() != per_agent * static_cast<size_t>(k))
-          throw CheckpointError(
-              "checkpoint residual slab mismatch: holds " +
-              std::to_string(residuals.size()) + " values, expected " +
-              std::to_string(per_agent * static_cast<size_t>(k)));
-        residuals.resize(want, 0.0);
-        pipeline_->load_residuals(residuals);
-      } else if (!residuals.empty()) {
+    std::vector<double> residuals = r.f64s();
+    const size_t want = pipeline_->residuals().size();
+    if (want > 0) {
+      // The checkpointed slab covers k agents; rows for the extra agents
+      // of a wider fleet start zeroed (no residual history).
+      const size_t per_agent = want / static_cast<size_t>(agents());
+      if (residuals.size() != per_agent * static_cast<size_t>(k))
         throw CheckpointError(
-            "checkpoint carries error-feedback residuals but this fleet "
-            "has no residual slab (codec/straggler config mismatch)");
-      }
+            "checkpoint residual slab mismatch: holds " +
+            std::to_string(residuals.size()) + " values, expected " +
+            std::to_string(per_agent * static_cast<size_t>(k)));
+      residuals.resize(want, 0.0);
+      pipeline_->load_residuals(residuals);
+    } else if (!residuals.empty()) {
+      throw CheckpointError(
+          "checkpoint carries error-feedback residuals but this fleet "
+          "has no residual slab (codec/straggler config mismatch)");
     }
     r.expect_done();
   } catch (const CheckpointError&) {
@@ -965,9 +883,6 @@ void RealFleet::set_dist_context(DistContext ctx) {
                  "set_dist_context must run before the first step()");
   COMDML_REQUIRE(ctx.shards >= 1 && ctx.shard >= 0 && ctx.shard < ctx.shards,
                  "bad shard index " << ctx.shard << " of " << ctx.shards);
-  COMDML_REQUIRE(pipeline_ == nullptr,
-                 "multi-process mode needs a flat (non-bucketed, "
-                 "non-pipelined) fleet");
   COMDML_REQUIRE(ctx.transport != nullptr, "multi-process mode needs a "
                                            "transport");
   COMDML_REQUIRE(ctx.transport->endpoints() == agents(),
@@ -985,11 +900,21 @@ void RealFleet::set_dist_context(DistContext ctx) {
   COMDML_REQUIRE(owns_one, "shard " << ctx.shard << " owns no agent");
   COMDML_REQUIRE(ctx.shards == 1 || static_cast<bool>(ctx.exchange),
                  "multi-worker fleets need a TaskResult exchange");
-  // Constraints the partitioned round cannot honor yet: mid-round deaths
-  // (every worker must see the same live set at every point), straggler
-  // deferral (needs the pipeline's residual machinery), and message loss
-  // on the aggregation wire (the NACK path retransmits, but the per-step
-  // histories then desynchronize across workers).
+  // Constraints the partitioned round cannot honor yet: more than one
+  // bucket or a lossy codec on the shared mesh (the cross-process wire
+  // carries one fp32 collective per round), overlap (the exchange barrier
+  // sits between training and aggregation), mid-round deaths (every worker
+  // must see the same live set at every point), straggler deferral, and
+  // message loss on the aggregation wire (the NACK path retransmits, but
+  // the per-step histories then desynchronize across workers).
+  COMDML_REQUIRE(options_.comms.bucket_bytes == 0,
+                 "multi-process fleets aggregate in one bucket "
+                 "(bucket_bytes 0)");
+  COMDML_REQUIRE(!options_.comms.overlap,
+                 "multi-process fleets do not overlap aggregation");
+  COMDML_REQUIRE(
+      options_.comms.codec == FleetOptions::CommOptions::Codec::kFp32,
+      "multi-process fleets need the fp32 aggregation wire");
   for (const FleetOptions::FaultOptions::AgentFailure& f :
        options_.faults.failures)
     COMDML_REQUIRE(f.after_batches < 0 && f.after_buckets < 0 &&
@@ -999,7 +924,17 @@ void RealFleet::set_dist_context(DistContext ctx) {
                  "multi-process fleets do not support straggler deadlines");
   COMDML_REQUIRE(options_.faults.message_drop_prob == 0.0,
                  "multi-process fleets need a loss-free aggregation wire");
+  comm::Transport* transport = ctx.transport;
   dist_ = std::move(ctx);
+  use_dist_transport(transport);
+}
+
+void RealFleet::use_dist_transport(comm::Transport* transport) {
+  dist_->transport = transport;
+  std::vector<char> owned(agents_.size());
+  for (size_t a = 0; a < owned.size(); ++a)
+    owned[a] = dist_->owner[a] == dist_->shard ? 1 : 0;
+  pipeline_->use_shared_transport(transport, std::move(owned));
 }
 
 void RealFleet::set_dist_transport(comm::Transport* transport) {
@@ -1010,44 +945,22 @@ void RealFleet::set_dist_transport(comm::Transport* transport) {
                  "transport hosts " << transport->endpoints()
                                     << " endpoints, fleet has " << agents()
                                     << " agents");
-  dist_->transport = transport;
+  use_dist_transport(transport);
 }
 
 std::vector<uint8_t> RealFleet::export_agent(int64_t agent) {
   COMDML_CHECK(agent >= 0 && agent < agents());
-  AgentState& st = agents_[static_cast<size_t>(agent)];
   tensor::ByteWriter w;
-  w.u8(st.alive ? 1 : 0);
-  w.tensors(nn::state_of(*st.model));
-  w.tensors(st.velocity);
-  const data::Batcher::State bs = st.batcher->save();
-  w.i64s(bs.order);
-  w.i64(bs.cursor);
-  w.i64(bs.epoch);
-  w.str(bs.rng);
+  write_agent(w, agent);
   return w.bytes();
 }
 
 void RealFleet::import_agent(int64_t agent, const std::vector<uint8_t>& bytes) {
   COMDML_CHECK(agent >= 0 && agent < agents());
-  AgentState& st = agents_[static_cast<size_t>(agent)];
   tensor::ByteReader r(bytes);
-  st.alive = r.u8() != 0;
-  nn::load_state(*st.model, r.tensors());
-  st.velocity = r.tensors();
-  data::Batcher::State bs;
-  bs.order = r.i64s();
-  bs.cursor = r.i64();
-  bs.epoch = r.i64();
-  bs.rng = r.str();
-  st.batcher->load(bs);
+  read_agent(r, agent);
   r.expect_done();
 }
-
-namespace {
-constexpr uint32_t kShardMagic = 0x434D4453;  // "CMDS"
-constexpr uint32_t kShardVersion = 1;
-}  // namespace
 
 std::vector<uint8_t> RealFleet::checkpoint_shard(
     int64_t shard, int64_t shards, const std::vector<int64_t>& owned_agents) {
@@ -1063,12 +976,7 @@ std::vector<uint8_t> RealFleet::checkpoint_shard(
   // all tasks every round, so their fleet rng states are identical and any
   // shard can seed the restored fleet.
   body.str(rng_.state());
-  body.u8(plateau_.has_value() ? 1 : 0);
-  if (plateau_) {
-    const nn::PlateauScheduler::State s = plateau_->save();
-    body.f32(s.best);
-    body.i64(s.stale);
-  }
+  write_plateau(body, plateau_);
   body.u32(static_cast<uint32_t>(owned_agents.size()));
   for (const int64_t a : owned_agents) {
     COMDML_CHECK(a >= 0 && a < agents());
@@ -1076,83 +984,20 @@ std::vector<uint8_t> RealFleet::checkpoint_shard(
     const std::vector<uint8_t> blob = export_agent(a);
     body.str(std::string(blob.begin(), blob.end()));
   }
-
-  const std::vector<uint8_t> payload = body.bytes();
-  tensor::ByteWriter w;
-  w.u32(kShardMagic);
-  w.u32(kShardVersion);
-  w.u64(tensor::fnv1a(payload.data(), payload.size()));
-  w.raw(payload);
-  return w.bytes();
+  return frame(kShardMagic, kShardVersion, body.bytes());
 }
 
 void RealFleet::restore_shards(
     const std::vector<std::vector<uint8_t>>& shards) {
-  COMDML_REQUIRE(pipeline_ == nullptr,
-                 "shard restore needs a flat (non-bucketed) fleet");
+  COMDML_REQUIRE(pipeline_->residuals().empty(),
+                 "shard restore needs a fleet without an error-feedback "
+                 "residual slab (shards carry no residuals)");
   if (shards.empty())
     throw CheckpointError("shard restore got zero shards");
-
-  struct ParsedShard {
-    int64_t agents_total = 0;
-    int64_t round = 0;
-    int64_t shard = 0;
-    int64_t shards = 0;
-    float lr = 0.0f;
-    std::string rng;
-    bool has_plateau = false;
-    float plateau_best = 0.0f;
-    int64_t plateau_stale = 0;
-    std::vector<std::pair<int64_t, std::string>> blobs;
-  };
   std::vector<ParsedShard> parsed;
   parsed.reserve(shards.size());
-  for (const std::vector<uint8_t>& bytes : shards) {
-    constexpr size_t kHeader = 2 * sizeof(uint32_t) + sizeof(uint64_t);
-    if (bytes.size() < kHeader)
-      throw CheckpointError("checkpoint shard truncated: " +
-                            std::to_string(bytes.size()) +
-                            " bytes is smaller than the header");
-    tensor::ByteReader r(bytes);
-    if (r.u32() != kShardMagic)
-      throw CheckpointError("not a fleet checkpoint shard (bad magic)");
-    const uint32_t version = r.u32();
-    if (version != kShardVersion)
-      throw CheckpointError("unsupported checkpoint shard version " +
-                            std::to_string(version) + " (expected " +
-                            std::to_string(kShardVersion) + ")");
-    const uint64_t want_sum = r.u64();
-    const uint64_t got_sum =
-        tensor::fnv1a(bytes.data() + kHeader, bytes.size() - kHeader);
-    if (got_sum != want_sum)
-      throw CheckpointError(
-          "checkpoint shard checksum mismatch (truncated or corrupted)");
-    try {
-      ParsedShard p;
-      p.agents_total = static_cast<int64_t>(r.u32());
-      p.round = r.i64();
-      p.shard = r.i64();
-      p.shards = r.i64();
-      p.lr = r.f32();
-      p.rng = r.str();
-      p.has_plateau = r.u8() != 0;
-      if (p.has_plateau) {
-        p.plateau_best = r.f32();
-        p.plateau_stale = r.i64();
-      }
-      const uint32_t count = r.u32();
-      p.blobs.reserve(count);
-      for (uint32_t i = 0; i < count; ++i) {
-        const int64_t a = r.i64();
-        p.blobs.emplace_back(a, r.str());
-      }
-      r.expect_done();
-      parsed.push_back(std::move(p));
-    } catch (const std::invalid_argument& e) {
-      throw CheckpointError(std::string("malformed checkpoint shard: ") +
-                            e.what());
-    }
-  }
+  for (const std::vector<uint8_t>& bytes : shards)
+    parsed.push_back(parse_shard(bytes));
 
   // Cross-shard consistency: every shard must describe the same fleet at
   // the same round, and no two shards may carry the same worker slot or
@@ -1162,12 +1007,13 @@ void RealFleet::restore_shards(
     throw CheckpointError(
         "checkpoint shards hold " + std::to_string(head.agents_total) +
         " agents but this fleet only has " + std::to_string(agents()));
-  if (head.has_plateau != plateau_.has_value())
+  if (head.plateau.has_value() != plateau_.has_value())
     throw CheckpointError("checkpoint shard plateau-schedule config mismatch");
   std::vector<char> slot_seen(static_cast<size_t>(head.shards), 0);
   for (const ParsedShard& p : parsed) {
     if (p.agents_total != head.agents_total || p.round != head.round ||
-        p.shards != head.shards)
+        p.shards != head.shards ||
+        p.plateau.has_value() != head.plateau.has_value())
       throw CheckpointError(
           "inconsistent checkpoint shards: mixed fleets or rounds");
     if (p.shard < 0 || p.shard >= p.shards)
@@ -1186,18 +1032,13 @@ void RealFleet::restore_shards(
   round_ = lead->round;
   current_lr_ = lead->lr;
   rng_.set_state(lead->rng);
-  if (plateau_) {
-    nn::PlateauScheduler::State s;
-    s.best = lead->plateau_best;
-    s.stale = static_cast<int>(lead->plateau_stale);
-    plateau_->load(s);
-  }
+  if (plateau_) plateau_->load(*lead->plateau);
 
   // Start everyone as left, then bring covered agents up with their exact
   // state. Agents of absent shards stay left — rejoinable from consensus.
-  for (AgentState& st : agents_) {
-    st.alive = false;
-    st.velocity.clear();
+  for (int64_t a = 0; a < agents(); ++a) {
+    set_membership(a, false);
+    agents_[static_cast<size_t>(a)].velocity.clear();
   }
   std::vector<char> agent_seen(static_cast<size_t>(agents()), 0);
   int64_t live = 0;

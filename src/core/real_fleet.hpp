@@ -17,6 +17,11 @@
 #include "data/batcher.hpp"
 #include "nn/split.hpp"
 
+namespace comdml::tensor {
+class ByteReader;
+class ByteWriter;
+}  // namespace comdml::tensor
+
 namespace comdml::core {
 
 /// Builds one model replica; must be deterministic given the Rng.
@@ -54,12 +59,12 @@ class RealFleet {
     /// Measured wire compression of the real activations crossing the cut
     /// (bitmask + int8 codec; see comm/compress.hpp). 0 when no pairs.
     double mean_wire_compression = 0.0;
-    /// Executed traffic of the aggregation collective (InProcTransport).
-    double aggregation_seconds = 0.0;  ///< modeled clock of the collective
+    /// Executed traffic of the aggregation collectives.
+    double aggregation_seconds = 0.0;  ///< modeled clock of the collectives
     int64_t aggregation_bytes = 0;     ///< max bytes any agent sent
-    /// Bucketed aggregation (comms.bucket_bytes > 0): bucket count and the
-    /// aggregation time left on the round's critical path after overlap
-    /// (== aggregation_seconds when nothing is hidden; sequential and flat
+    /// Bucket count (always >= 1; comms.bucket_bytes = 0 gives one) and
+    /// the aggregation time left on the round's critical path after
+    /// overlap (== aggregation_seconds when nothing is hidden; sequential
     /// rounds expose everything).
     int64_t buckets = 0;
     double exposed_comm_seconds = 0.0;
@@ -119,10 +124,10 @@ class RealFleet {
   /// hosting the agents whose owner[] entry names it. Every worker runs
   /// the same deterministic fleet (same seeds -> identical replicas) but
   /// trains only the tasks whose primary agent it owns; `exchange` merges
-  /// TaskResults and borrowed agent state across workers, and the flat
-  /// aggregation executes rank-partitioned over `transport` (endpoints ==
-  /// agents) — same schedule, same arithmetic, so the consensus mean is
-  /// bit-identical to the single-process collective.
+  /// TaskResults and borrowed agent state across workers, and the round
+  /// pipeline's bucket collective executes rank-partitioned over
+  /// `transport` (endpoints == agents) — same schedule, same arithmetic,
+  /// so the consensus mean is bit-identical to the single-process one.
   struct DistContext {
     int64_t shard = 0;
     int64_t shards = 1;
@@ -143,10 +148,11 @@ class RealFleet {
         collective_sync;
   };
 
-  /// Enable multi-process mode. Requires a flat (non-bucketed,
-  /// non-pipelined) fleet, leave-mode-only fault plans, no straggler
-  /// deadline, and no message loss; throws otherwise. Call before the
-  /// first step() (a rejoining worker calls it before restore()).
+  /// Enable multi-process mode. Cross-process rounds aggregate in one fp32
+  /// bucket, so this requires comms.bucket_bytes == 0, no overlap and the
+  /// fp32 codec, plus leave-mode-only fault plans, no straggler deadline,
+  /// and no message loss; throws otherwise. Call before the first step()
+  /// (a rejoining worker calls it before restore()).
   void set_dist_context(DistContext ctx);
   /// Swap the data-mesh transport between rounds (a remesh after worker
   /// churn). The previous transport is the caller's to destroy.
@@ -222,7 +228,9 @@ class RealFleet {
   /// subset of the original workers: agents covered by a present shard
   /// come up live with their exact state, the rest come up as left
   /// (rejoinable from consensus). Throws CheckpointError for unusable or
-  /// mutually inconsistent shards. Flat fleets only.
+  /// mutually inconsistent shards. Shards carry no error-feedback
+  /// residuals, so the fleet must have no residual slab (fp32 codec, no
+  /// straggler deadline).
   void restore_shards(const std::vector<std::vector<uint8_t>>& shards);
 
   /// Rounds completed since the last auto-checkpoint write (0 right after
@@ -243,6 +251,8 @@ class RealFleet {
     /// optimizers (their auxiliary heads are themselves transient).
     std::vector<tensor::Tensor> velocity;
   };
+  /// One round's working state, threaded through the phases of step().
+  struct Round;
 
   Options options_;
   std::vector<data::Dataset> shards_;
@@ -252,11 +262,11 @@ class RealFleet {
   tensor::Shape in_shape_;
   SplitProfile profile_;
   std::vector<AgentState> agents_;
-  /// Per-round aggregation merge buffers, reused across rounds so the
-  /// collective stops heap-allocating after the first round.
-  std::vector<std::vector<tensor::Tensor>> state_scratch_;
-  /// Bucketed aggregation (comms.bucket_bytes > 0): the shared state
-  /// partition, the concurrent collective engine, and the modeled
+  /// Differential privacy: the noised state snapshots the round publishes,
+  /// reused across rounds (empty without DP).
+  std::vector<std::vector<tensor::Tensor>> dp_states_;
+  /// The shared state partition (bucket_bytes = 0: one bucket), the
+  /// collective engine every round aggregates through, and the modeled
   /// backward-tail fraction per bucket (for the overlapped clock).
   std::optional<nn::BucketPlan> bucket_plan_;
   std::unique_ptr<RoundPipeline> pipeline_;
@@ -267,6 +277,36 @@ class RealFleet {
   std::optional<nn::PlateauScheduler> plateau_;
   /// Multi-process execution context; nullopt = ordinary single-process.
   std::optional<DistContext> dist_;
+
+  // The phases of step(), in order.
+  void arm_faults(Round& r);
+  void pair_up(Round& r);  ///< pairing + straggler deadline
+  void train(Round& r);
+  void exchange(Round& r);  ///< multi-process task-result barrier
+  void aggregate(Round& r);
+  RoundStats finalize(Round& r);
+
+  void run_task(Round& r, int64_t task);
+  void train_full(Round& r, int64_t agent, tensor::Rng& rng, TaskResult& out);
+  void train_pair(Round& r, const OffloadDecision& pair, tensor::Rng& rng,
+                  TaskResult& out);
+  /// Flatten + contribute one bucket of `agent`'s `state` (replica tensor
+  /// pointers or a DP snapshot) under its armed publish budget.
+  template <typename State>
+  void publish_bucket(Round& r, int64_t agent, const State& state,
+                      int64_t bucket);
+  /// Post-training publication of every on-time live agent.
+  void publish_all(Round& r);
+  /// Multi-process reduce with collective_sync crash recovery.
+  void reduce_across_processes(Round& r);
+  void model_clock(Round& r);
+  void use_dist_transport(comm::Transport* transport);
+  /// Mark `agent` alive or left in the fleet and the pipeline alike.
+  void set_membership(int64_t agent, bool alive);
+  /// One agent's mutable round state in the export_agent() layout; the
+  /// checkpoint body carries the same bytes per agent.
+  void write_agent(tensor::ByteWriter& w, int64_t agent);
+  void read_agent(tensor::ByteReader& r, int64_t agent);
 
   [[nodiscard]] std::vector<AgentInfo> build_infos() const;
   /// Draws from the agent's own batcher; `rng` drives any privacy

@@ -187,6 +187,17 @@ void RoundPipeline::stage_state(int64_t agent,
     plan_->flatten_bucket(state, b, slot(agent, b));
 }
 
+void RoundPipeline::use_shared_transport(comm::Transport* transport,
+                                         std::vector<char> owned) {
+  COMDML_REQUIRE(plan_->buckets() == 1,
+                 "a shared multi-process transport carries one bucket, the "
+                 "plan has " << plan_->buckets());
+  COMDML_CHECK(transport != nullptr &&
+               static_cast<int64_t>(owned.size()) == agents_);
+  shared_ = transport;
+  owned_ = std::move(owned);
+}
+
 void RoundPipeline::schedule_endpoint_failure(int64_t agent,
                                               int64_t after_steps) {
   for (auto& t : transports_) t->schedule_endpoint_failure(agent, after_steps);
@@ -269,14 +280,6 @@ void RoundPipeline::publish_state(int64_t agent,
   }
 }
 
-void RoundPipeline::publish_state(int64_t agent,
-                                  const std::vector<tensor::Tensor>& state) {
-  for (int64_t b = 0; b < plan_->buckets(); ++b) {
-    plan_->flatten_bucket(state, b, slot(agent, b));
-    contribute(agent, b);
-  }
-}
-
 void RoundPipeline::restore_state(
     int64_t agent, const std::vector<tensor::Tensor*>& state) {
   for (int64_t b = 0; b < plan_->buckets(); ++b)
@@ -296,15 +299,28 @@ void RoundPipeline::run_bucket(int64_t bucket) {
   req.buffers.resize(static_cast<size_t>(agents_));
   for (int64_t a = 0; a < agents_; ++a)
     req.buffers[static_cast<size_t>(a)] = slot(a, bucket);
-  comm::Transport& transport = *transports_[static_cast<size_t>(bucket)];
   const bool full = static_cast<int64_t>(contributors.size()) == agents_;
   comm::SteppedSchedule survivor_schedule;
   if (!full)
     survivor_schedule = comm::allreduce_schedule_over(protocol_, contributors,
                                                       req.elems);
-  comm::AsyncCollective op(
-      full ? schedules_[static_cast<size_t>(bucket)] : survivor_schedule,
-      transport, std::move(req));
+  const comm::SteppedSchedule& schedule =
+      full ? schedules_[static_cast<size_t>(bucket)] : survivor_schedule;
+  if (shared_ != nullptr) {
+    const auto first = std::find_if(
+        contributors.begin(), contributors.end(),
+        [&](int64_t a) { return owned_[static_cast<size_t>(a)] != 0; });
+    COMDML_REQUIRE(first != contributors.end(),
+                   "this process owns no live agent; it cannot take part in "
+                   "the aggregation round");
+    comm::execute_schedule_owned(schedule, *shared_, req, owned_);
+    for (const int64_t a : contributors)
+      if (owned_[static_cast<size_t>(a)] == 0)
+        std::copy_n(slot(*first, bucket), req.elems, slot(a, bucket));
+    return;
+  }
+  comm::Transport& transport = *transports_[static_cast<size_t>(bucket)];
+  comm::AsyncCollective op(schedule, transport, std::move(req));
   // With fault injection armed on this transport, a mid-collective
   // endpoint death re-forms the schedule around the survivors instead of
   // failing the round.
@@ -382,14 +398,18 @@ PipelineStats RoundPipeline::stats() const {
   out.buckets = plan_->buckets();
   out.bucket_seconds.reserve(transports_.size());
   std::vector<int64_t> per_agent(static_cast<size_t>(agents_), 0);
-  for (const auto& t : transports_) {
-    const comm::TransportStats& st = t->stats();
+  const auto add = [&](const comm::TransportStats& st) {
     out.steps += st.steps;
     out.comm_seconds += st.seconds;
     out.retransmit_bytes += st.retransmit_wire_bytes;
     out.bucket_seconds.push_back(st.seconds);
     for (size_t a = 0; a < per_agent.size(); ++a)
       per_agent[a] += st.bytes_sent[a];
+  };
+  if (shared_ != nullptr) {
+    add(shared_->stats_snapshot());
+  } else {
+    for (const auto& t : transports_) add(t->stats());
   }
   for (const int64_t b : per_agent)
     out.max_bytes_sent = std::max(out.max_bytes_sent, b);

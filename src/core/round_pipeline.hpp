@@ -157,6 +157,19 @@ class RoundPipeline {
   /// staging half of publish_state, for deferred agents).
   void stage_state(int64_t agent, const std::vector<tensor::Tensor*>& state);
 
+  /// Multi-process mode: reduce over `transport`, a data mesh shared with
+  /// the fleet's other processes, instead of the per-bucket in-process
+  /// transports. This process posts only the sends and folds only the
+  /// receives of the endpoints marked in `owned`
+  /// (comm::execute_schedule_owned); after the reduce every non-owned
+  /// contributor's slot takes the first owned contributor's mean, so
+  /// restore_state() adopts the consensus on stale replicas too. stats()
+  /// then reports this process's share of the mesh traffic. One bucket
+  /// only: every process must close the same transport steps in the same
+  /// order. The transport is borrowed; call again after a remesh.
+  void use_shared_transport(comm::Transport* transport,
+                            std::vector<char> owned);
+
   /// Arm/clear a scheduled endpoint failure on every bucket transport
   /// (mid-collective fault injection; collectives then run with recovery).
   void schedule_endpoint_failure(int64_t agent, int64_t after_steps);
@@ -180,15 +193,13 @@ class RoundPipeline {
   /// written). Thread-safe; the k-th contribution enqueues the bucket's
   /// collective for the collectors.
   void contribute(int64_t agent, int64_t bucket);
-  /// Publish every bucket for `agent` (coarse producers: split-trained
-  /// replicas, DP-noised snapshots).
+  /// Publish every bucket for `agent` (its slots must be fully written).
   void contribute_all(int64_t agent);
 
   /// Flatten every bucket of `state` (the agent's replica, plan order)
   /// into the agent's slots and contribute them — the whole-replica
-  /// producer used by both fleets.
+  /// producer of the AllReduce-DML baseline.
   void publish_state(int64_t agent, const std::vector<tensor::Tensor*>& state);
-  void publish_state(int64_t agent, const std::vector<tensor::Tensor>& state);
   /// After the round completes: write the agent's reduced bucket means
   /// back into `state`.
   void restore_state(int64_t agent, const std::vector<tensor::Tensor*>& state);
@@ -239,6 +250,10 @@ class RoundPipeline {
   /// schedule per bucket so steady-state rounds stop re-deriving them.
   std::vector<std::unique_ptr<comm::InProcTransport>> transports_;
   std::vector<comm::SteppedSchedule> schedules_;
+  /// Multi-process data mesh and the endpoints this process hosts
+  /// (nullptr = single process; see use_shared_transport()).
+  comm::Transport* shared_ = nullptr;
+  std::vector<char> owned_;
   std::vector<double> slab_;  ///< agents_ x plan.total_elems(), agent-major
   /// Error-feedback residuals, same layout as slab_; empty when disabled.
   /// Persists across rounds — that is the point of error feedback.

@@ -22,6 +22,17 @@ T read_raw(const std::vector<uint8_t>& bytes, size_t& offset) {
   return value;
 }
 
+/// Rejects a sequence of `count` items of at least `item_bytes` each that
+/// cannot fit in the bytes left after `offset` — before anything is
+/// allocated for it, so a crafted count cannot request gigabytes.
+void require_fits(const std::vector<uint8_t>& bytes, size_t offset,
+                  uint64_t count, size_t item_bytes) {
+  COMDML_REQUIRE(count <= (bytes.size() - offset) / item_bytes,
+                 count << " items of " << item_bytes
+                       << "+ bytes overrun the " << bytes.size() - offset
+                       << " bytes left at offset " << offset);
+}
+
 }  // namespace
 
 uint64_t fnv1a(const void* data, size_t n) {
@@ -52,9 +63,7 @@ Tensor from_bytes(const std::vector<uint8_t>& bytes, size_t& offset) {
   Shape shape(rank);
   for (auto& d : shape) d = read_raw<int64_t>(bytes, offset);
   const int64_t n = shape_size(shape);
-  COMDML_REQUIRE(offset + static_cast<size_t>(n) * sizeof(float) <=
-                     bytes.size(),
-                 "truncated tensor payload");
+  require_fits(bytes, offset, static_cast<uint64_t>(n), sizeof(float));
   std::vector<float> data(static_cast<size_t>(n));
   std::memcpy(data.data(), bytes.data() + offset,
               static_cast<size_t>(n) * sizeof(float));
@@ -75,6 +84,7 @@ std::vector<uint8_t> pack_tensors(const std::vector<Tensor>& ts) {
 std::vector<Tensor> unpack_tensors(const std::vector<uint8_t>& bytes) {
   size_t offset = 0;
   const auto count = read_raw<uint32_t>(bytes, offset);
+  require_fits(bytes, offset, count, sizeof(uint32_t));  // >= a rank each
   std::vector<Tensor> out;
   out.reserve(count);
   for (uint32_t i = 0; i < count; ++i) out.push_back(from_bytes(bytes, offset));
@@ -134,6 +144,7 @@ std::string ByteReader::str() {
 
 std::vector<int64_t> ByteReader::i64s() {
   const auto n = u32();
+  require_fits(*bytes_, offset_, n, sizeof(int64_t));
   std::vector<int64_t> out(n);
   for (auto& v : out) v = i64();
   return out;
@@ -141,6 +152,7 @@ std::vector<int64_t> ByteReader::i64s() {
 
 std::vector<double> ByteReader::f64s() {
   const auto n = u32();
+  require_fits(*bytes_, offset_, n, sizeof(double));
   std::vector<double> out(n);
   for (auto& v : out) v = f64();
   return out;
@@ -148,6 +160,7 @@ std::vector<double> ByteReader::f64s() {
 
 std::vector<Tensor> ByteReader::tensors() {
   const auto n = u32();
+  require_fits(*bytes_, offset_, n, sizeof(uint32_t));  // >= a rank each
   std::vector<Tensor> out;
   out.reserve(n);
   for (uint32_t i = 0; i < n; ++i) out.push_back(from_bytes(*bytes_, offset_));

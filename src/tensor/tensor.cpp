@@ -9,7 +9,10 @@ int64_t shape_size(const Shape& shape) {
   int64_t n = 1;
   for (int64_t d : shape) {
     COMDML_REQUIRE(d >= 0, "negative extent in shape " << shape_str(shape));
-    n *= d;
+    int64_t next = 0;
+    COMDML_REQUIRE(!__builtin_mul_overflow(n, d, &next),
+                   "shape " << shape_str(shape) << " overflows int64");
+    n = next;
   }
   return n;
 }

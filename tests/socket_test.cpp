@@ -361,9 +361,9 @@ TEST(SocketTransport, StatsSnapshotIsSafeUnderConcurrentTraffic) {
       EXPECT_LE(s.bytes_received[1], kMessages * 8);
     }
   });
-  const double v = 2.0;
+  const double v[2] = {2.0, 2.0};
   for (int i = 0; i < kMessages; ++i) {
-    (void)t0.send(0, 1, 2, &v);
+    (void)t0.send(0, 1, 2, v);
     t0.end_step();
     (void)t1.recv(1, 0);
     t1.end_step();

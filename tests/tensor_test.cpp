@@ -340,5 +340,40 @@ TEST(Serialize, ImplausibleRankThrows) {
   EXPECT_THROW((void)from_bytes(bytes, offset), std::invalid_argument);
 }
 
+TEST(Shape, OverflowingProductThrows) {
+  EXPECT_THROW((void)shape_size({int64_t{1} << 32, int64_t{1} << 32}),
+               std::invalid_argument);
+}
+
+TEST(Serialize, OverflowingShapeHeaderThrows) {
+  // Rank 2 with dims 2^32 x 2^32 and no payload: the element count
+  // overflows int64, which must not wrap into a size that passes the
+  // truncation check.
+  ByteWriter w;
+  w.u32(2);
+  w.i64(int64_t{1} << 32);
+  w.i64(int64_t{1} << 32);
+  size_t offset = 0;
+  EXPECT_THROW((void)from_bytes(w.bytes(), offset), std::invalid_argument);
+}
+
+TEST(Serialize, CountsLargerThanThePayloadThrowBeforeAllocating) {
+  // A bare u32 count of ~4 billion items, with nothing behind it, would
+  // ask for ~32 GB if allocated before the length check.
+  ByteWriter w;
+  w.u32(0xFFFFFFFFu);
+  const std::vector<uint8_t> bytes = w.bytes();
+  EXPECT_THROW((void)ByteReader(bytes).i64s(), std::invalid_argument);
+  EXPECT_THROW((void)ByteReader(bytes).f64s(), std::invalid_argument);
+  EXPECT_THROW((void)ByteReader(bytes).tensors(), std::invalid_argument);
+  EXPECT_THROW((void)unpack_tensors(bytes), std::invalid_argument);
+  // A tensor header whose element count exceeds the bytes left.
+  ByteWriter t;
+  t.u32(1);
+  t.i64(int64_t{1} << 40);
+  size_t offset = 0;
+  EXPECT_THROW((void)from_bytes(t.bytes(), offset), std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace comdml::tensor

@@ -29,6 +29,7 @@
 #include "data/partition.hpp"
 #include "data/synthetic.hpp"
 #include "nn/resnet.hpp"
+#include "tensor/serialize.hpp"
 
 namespace comdml {
 namespace {
@@ -799,6 +800,42 @@ TEST(StragglerDeadline, GenerousDeadlineIsANoOp) {
   }
 }
 
+TEST(StragglerDeadline, OneBucketFleetDefersTheStraggler) {
+  // bucket_bytes = 0 is one bucket: deferral works there as well.
+  FleetOptions opt = fast_options();
+  opt.comms.bucket_bytes = 0;
+  opt.faults.deadline_sec = 1e-9;  // every solo agent is late
+  auto fleet = make_fleet(opt, 5);
+  const auto first = fleet.step();
+  EXPECT_EQ(first.buckets, 1);
+  EXPECT_EQ(first.late_agents, 1) << "the lone solo misses the deadline";
+  expect_live_replicas_equal(fleet);
+}
+
+TEST(MessageLoss, OneBucketFleetRetransmitsAndMatchesTheLossFreeRun) {
+  // message_drop_prob applies at bucket_bytes = 0: the single bucket's
+  // collective retransmits through ReliableChannel, and the goodput
+  // invariant makes the result bit-identical to the loss-free fleet.
+  FleetOptions clean = fast_options();
+  clean.comms.bucket_bytes = 0;
+  FleetOptions lossy = clean;
+  lossy.faults.message_drop_prob = 0.2;
+  auto a = make_fleet(clean, 4);
+  auto b = make_fleet(lossy, 4);
+  int64_t retransmitted = 0;
+  for (int r = 0; r < 2; ++r) {
+    const auto sa = a.step();
+    const auto sb = b.step();
+    EXPECT_EQ(sa.retransmit_bytes, 0);
+    retransmitted += sb.retransmit_bytes;
+    EXPECT_EQ(sa.mean_loss, sb.mean_loss) << "round " << r;
+  }
+  EXPECT_GT(retransmitted, 0) << "a 20 % drop rate must cost retransmits";
+  for (int64_t i = 0; i < a.agents(); ++i)
+    EXPECT_EQ(nn::state_of(a.model(i)), nn::state_of(b.model(i)))
+        << "agent " << i;
+}
+
 /// Unique scratch dir under the system temp root; removed by the guard.
 struct TempDir {
   explicit TempDir(const std::string& tag)
@@ -919,6 +956,19 @@ TEST(CheckpointErrors, CorruptBlobsRaiseTypedErrorsAndLeaveFleetUsable) {
   auto bad_version = good;
   bad_version[4] ^= 0xFF;
   expect_rejected(bad_version, "unknown version");
+
+  // A version-2 blob (the layout with a has-pipeline byte before the
+  // residual slab), correctly framed and checksummed, is still refused.
+  const std::vector<uint8_t> body(good.begin() + 16, good.end());
+  std::vector<uint8_t> v2_body(body.begin(), body.end() - 4);
+  v2_body.push_back(1);
+  v2_body.insert(v2_body.end(), body.end() - 4, body.end());
+  tensor::ByteWriter v2;
+  v2.u32(0x434D444C);  // "CMDL"
+  v2.u32(2);
+  v2.u64(tensor::fnv1a(v2_body.data(), v2_body.size()));
+  v2.raw(v2_body);
+  expect_rejected(v2.bytes(), "version-2 blob");
 
   // A failed restore must not corrupt the rejecting fleet.
   auto survivor = make_fleet(fast_options(), 3);
